@@ -20,7 +20,7 @@ A unified multi-pass analysis layer over the parsed (and, inside a
 * :mod:`repro.analysis.workload` / :mod:`repro.analysis.partition` —
   whole-workload interference: static conflict graphs over named
   transaction programs, anomaly detectors (RP6xx) and the shard
-  partition consumed by ``ServerConfig(partitions=...)``.
+  partition report.
 
 Diagnostics carry codes (``RPxxx``), severities and source spans; the
 renderer prints caret-underlined snippets.  Entry points:

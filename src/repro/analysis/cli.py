@@ -236,13 +236,6 @@ def _workload_main(args, files: list[Path], floor: Severity) -> int:
             print(render_partition(plan, graph))
         else:
             print(f"partition: none ({plan_error})")
-    if args.emit_partition:
-        if plan is None:
-            print(f"repro-lint: cannot emit partition: {plan_error}",
-                  file=sys.stderr)
-            return 2
-        Path(args.emit_partition).write_text(
-            json.dumps(plan.to_dict(), indent=2, sort_keys=True) + "\n")
     if any(d.severity is Severity.ERROR for d in anomalies):
         return 2
     if any(d.severity is Severity.WARNING for d in anomalies) \
@@ -282,10 +275,7 @@ def main(argv: list[str] | None = None) -> int:
                          "the static conflict graph, RP6xx anomalies and "
                          "the derived shard partition")
     ap.add_argument("--shards", type=int, default=4,
-                    help="target lane count for --workload partitioning")
-    ap.add_argument("--emit-partition", metavar="FILE", default=None,
-                    help="with --workload: write the partition-plan "
-                         "artifact (ServerConfig(partitions=...) input)")
+                    help="target shard count for --workload partitioning")
     ap.add_argument("--format", choices=["text", "json"], default="text",
                     help="json: one stable machine-readable document on "
                          "stdout (schema version 1)")

@@ -1,13 +1,16 @@
-"""Footprint-partitioned shards: from a conflict graph to worker lanes.
+"""Footprint-partitioned shards: a conflict graph's parallelism report.
 
 Given a :class:`~repro.analysis.workload.ConflictGraph`, derive a
 **shard partition** of the workload's footprint roots (named objects,
 class extents, session bindings) such that a maximal fraction of the
 programs is *statically single-shard* — every root a program may touch
 lives in one shard.  Single-shard programs of different shards are
-provably disjoint, so a server can give each shard its own worker lane
-and run its transactions latch-free without consulting any other lane
-(:mod:`repro.server.service` is the consumer).
+provably disjoint, so the partition reports how much of a workload
+could commit without ever conflicting (``repro-lint --workload``,
+:meth:`repro.lang.api.Session.explain_workload`).  The server does not
+consume it: its static fast path (:mod:`repro.server.interference`)
+makes the same disjointness decision per transaction against the live
+heap.
 
 The derivation is two-phase:
 
@@ -20,25 +23,15 @@ The derivation is two-phase:
    requested shard count largest-first (LPT).  When there are *fewer*
    components than shards, the heaviest component is split by a greedy
    min-cut over program hyperedges: the split sacrifices the straddling
-   programs (they escalate to the global dynamic path) and is accepted
-   only while it improves balance without cutting every program.
-
-The result is a :class:`PartitionPlan` — a small, serializable, *checked*
-artifact.  ``to_dict``/``from_dict`` round-trip it through JSON (the
-schema is validated on load), and :meth:`PartitionPlan.check` validates
-it against a live session: every shard's reachable state must be
-disjoint from every other's, else :class:`~repro.errors.PartitionError`.
+   programs (they become cross-shard) and is accepted only while it
+   improves balance without cutting every program.
 
 Roots that every program only *reads* (reference data: a rate table, a
 lookup relation) would otherwise glue unrelated write components into
 one shard — every program reads them.  The derivation instead marks a
 read-only root read from two or more write components as **shared**:
-excluded from every shard, readable from any lane.  This is sound
-because lane placement is scheduling only — the interference table
-still sees each transaction's full resolved footprint, so the rare
-transaction that *writes* a shared root escalates to the global pool
-(its root is outside every shard) and blocks against in-flight lane
-transactions reading it.
+excluded from every shard and ignored in read sets, while a program
+that *writes* a shared root is cross-shard.
 """
 
 from __future__ import annotations
@@ -72,19 +65,16 @@ class _UnionFind:
 
 
 class PartitionPlan:
-    """A checked shard partition of footprint roots.
+    """A shard partition of footprint roots.
 
     ``shards`` is a tuple of disjoint, non-empty frozensets of root
     names; ``assignments`` records the derivation's program placement
-    (name → shard index, or ``None`` for cross-shard/⊤ programs) purely
-    for reporting — the server re-derives placement per request from
-    each transaction's own summary via :meth:`classify`.  ``ambient``
-    records the stateless environment names (builtins, prelude) whose
-    *reads* classify ignores: every program reads ``+``, and a plan
-    that escalated on that would route nothing to a lane.  ``shared``
+    (name → shard index, or ``None`` for cross-shard/⊤ programs).
+    ``ambient`` records the stateless environment names (builtins,
+    prelude) whose *reads* :meth:`classify` ignores: every program reads
+    ``+``, and a plan that counted that would place nothing.  ``shared``
     records workload-read-only roots (reference data) that classify
-    likewise ignores in *read* sets only — a write to a shared root
-    still escalates to the global pool.
+    likewise ignores in *read* sets only.
     """
 
     VERSION = 1
@@ -95,10 +85,6 @@ class PartitionPlan:
     def __init__(self, shards, assignments: dict | None = None,
                  ambient=frozenset(), shared=frozenset()):
         shards = tuple(frozenset(s) for s in shards)
-        if not all(isinstance(n, str) for n in ambient):
-            raise PartitionError("ambient names must be strings")
-        if not all(isinstance(n, str) for n in shared):
-            raise PartitionError("shared root names must be strings")
         self.ambient = frozenset(ambient)
         self.shared = frozenset(shared)
         root_shard: dict[str, int] = {}
@@ -106,9 +92,6 @@ class PartitionPlan:
             if not shard:
                 raise PartitionError(f"shard {i} is empty")
             for root in shard:
-                if not isinstance(root, str):
-                    raise PartitionError(
-                        f"shard {i} holds a non-string root: {root!r}")
                 if root in root_shard:
                     raise PartitionError(
                         f"root '{root}' appears in shards "
@@ -128,49 +111,24 @@ class PartitionPlan:
     def shard_of(self, root: str) -> Optional[int]:
         return self._root_shard.get(root)
 
-    def classify_shards(self,
-                        summary: Optional[FootprintSummary]
-                        ) -> Optional[tuple[int, ...]]:
-        """The ordered set of shards ``summary``'s roots live in.
+    def classify(self, summary: Optional[FootprintSummary]) -> Optional[int]:
+        """The single shard every root of ``summary`` lives in, else None.
 
-        Returns the shard indices in **canonical (ascending) order** —
-        the order a coordinator must acquire the lanes in to be
-        deadlock-free by construction.  ``None`` means the plan cannot
-        place the transaction at all: the summary is missing (opaque
-        Python body), ⊤, or touches a root outside every shard.  An
-        empty tuple means a bounded summary with no classifiable roots
+        ``None`` means the program is not statically single-shard: the
+        summary is missing (opaque Python body), ⊤, touches a root
+        outside every shard, straddles shards, or has no roots at all
         (trivially disjoint from everything).
         """
         if summary is None or summary.writes is None:
             return None
         roots = (summary.reads - self.ambient - self.shared) \
             | summary.writes
-        shards: set[int] = set()
-        for root in roots:
-            s = self._root_shard.get(root)
-            if s is None:
-                return None
-            shards.add(s)
-        return tuple(sorted(shards))
-
-    def classify(self, summary: Optional[FootprintSummary]) -> Optional[int]:
-        """The single shard every root of ``summary`` lives in, else None.
-
-        ``None`` means the transaction is not statically single-shard:
-        the summary is missing (opaque Python body), ⊤, touches roots
-        outside the plan, or straddles shards (see
-        :meth:`classify_shards` for the multi-shard breakdown the
-        two-phase coordinator consumes).  A bounded summary with *no*
-        roots also answers ``None`` — it is trivially disjoint from
-        everything and the global fast path already handles it without
-        occupying a lane.
-        """
-        shards = self.classify_shards(summary)
-        if shards is None or len(shards) != 1:
+        shards = {self._root_shard.get(root) for root in roots}
+        if len(shards) != 1 or None in shards:
             return None
-        return shards[0]
+        return shards.pop()
 
-    # -- the serializable artifact ------------------------------------------
+    # -- the ``repro-lint --workload --format=json`` payload ----------------
 
     def to_dict(self) -> dict:
         return {
@@ -181,117 +139,6 @@ class PartitionPlan:
             "assignments": {name: shard for name, shard
                             in sorted(self.assignments.items())},
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PartitionPlan":
-        """Load and validate; raises :class:`PartitionError` on bad input."""
-        if not isinstance(data, dict):
-            raise PartitionError("partition artifact must be an object")
-        if data.get("version") != cls.VERSION:
-            raise PartitionError(
-                f"unsupported partition artifact version "
-                f"{data.get('version')!r} (expected {cls.VERSION})")
-        shards = data.get("shards")
-        if (not isinstance(shards, list) or not shards
-                or not all(isinstance(s, list) for s in shards)):
-            raise PartitionError(
-                "'shards' must be a non-empty list of root-name lists")
-        assignments = data.get("assignments", {})
-        if not isinstance(assignments, dict):
-            raise PartitionError("'assignments' must be an object")
-        ambient = data.get("ambient", [])
-        if not isinstance(ambient, list):
-            raise PartitionError("'ambient' must be a list of names")
-        shared = data.get("shared", [])
-        if not isinstance(shared, list):
-            raise PartitionError("'shared' must be a list of names")
-        plan = cls(shards, assignments, ambient, shared)
-        n = len(plan.shards)
-        for name, shard in plan.assignments.items():
-            if shard is not None and not (isinstance(shard, int)
-                                          and 0 <= shard < n):
-                raise PartitionError(
-                    f"assignment for '{name}' names shard {shard!r}, "
-                    f"but the plan has {n} shard(s)")
-        return plan
-
-    # -- the live-heap check --------------------------------------------------
-
-    def resolve_shards(self, session) -> list[set]:
-        """Each shard's reachable state atoms against the live session.
-
-        Unbound roots contribute nothing (a program naming them fails
-        before touching state).  Must run under the catalog lock when
-        the session is being served.
-        """
-        return [set(atoms) for atoms, _owners
-                in self._resolve_attributed(session)]
-
-    def _resolve_attributed(self, session) -> list[tuple[set, dict]]:
-        """Per shard: ``(atoms, atom -> root that reaches it)``.
-
-        The attribution map is what lets :meth:`check` name the
-        *offending roots* of an overlap, not just the anonymous state
-        atom they collide on.
-        """
-        from .regions import reachable_state
-        frame = session._global_frame
-        out: list[tuple[set, dict]] = []
-        for shard in self.shards:
-            atoms: set = set()
-            owners: dict = {}
-            for root in sorted(shard):
-                value = frame.get(root)
-                if value is None:
-                    continue
-                locs, exts = reachable_state(value)
-                for atom in [("loc", i) for i in locs] \
-                        + [("ext", o) for o in exts]:
-                    atoms.add(atom)
-                    owners.setdefault(atom, root)
-            out.append((atoms, owners))
-        return out
-
-    def check(self, session) -> None:
-        """Validate that shards are disjoint on the *live* heap.
-
-        Raises :class:`~repro.errors.PartitionError` naming the first
-        overlapping shard pair **and the offending roots** on each side
-        — running latch-free lanes over shards that reach shared state
-        would be unsound, and the fix is re-deriving the plan without
-        separating those roots.  A ``shared`` root may not alias any
-        shard either (two shared roots may alias each other: both are
-        only ever read).
-        """
-        from .regions import reachable_state
-        resolved = self._resolve_attributed(session)
-        seen: dict = {}
-        for i, (atoms, owners) in enumerate(resolved):
-            for atom in sorted(atoms):
-                if atom in seen:
-                    j, other_root = seen[atom]
-                    raise PartitionError(
-                        f"shards {j} and {i} reach shared state "
-                        f"({atom[0]} {atom[1]}) through roots "
-                        f"'{other_root}' (shard {j}) and "
-                        f"'{owners[atom]}' (shard {i}): the partition "
-                        "is unsound for latch-free lanes")
-                seen[atom] = (i, owners[atom])
-        frame = session._global_frame
-        for root in sorted(self.shared):
-            value = frame.get(root)
-            if value is None:
-                continue
-            locs, exts = reachable_state(value)
-            for atom in sorted([("loc", i) for i in locs]
-                               + [("ext", o) for o in exts]):
-                if atom in seen:
-                    j, other_root = seen[atom]
-                    raise PartitionError(
-                        f"shared root '{root}' and shard {j} reach "
-                        f"shared state ({atom[0]} {atom[1]}) through "
-                        f"root '{other_root}' (shard {j}): a lane "
-                        "could read state another lane writes")
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +267,13 @@ def _min_cut_split(comp: set,
 
 def partition_workload(graph: ConflictGraph, shards: int = 4,
                        session=None) -> PartitionPlan:
-    """Derive a :class:`PartitionPlan` targeting ``shards`` worker lanes.
+    """Derive a :class:`PartitionPlan` with at most ``shards`` shards.
 
     The plan never has *more* than ``shards`` shards and may have fewer
     (a workload whose roots all co-occur cannot be split without
     sacrificing every program).  With a ``session``, roots that reach
-    shared live state are forced into one shard, so the plan passes
-    :meth:`PartitionPlan.check` against that session by construction.
+    shared live state are forced into one shard, so no two shards (nor a
+    shared root and a shard) alias on that session's heap.
     """
     if shards < 1:
         raise ValueError("shards must be at least 1")
@@ -449,7 +296,7 @@ def partition_workload(graph: ConflictGraph, shards: int = 4,
     # Workload-read-only units read from two or more *write* components
     # are reference data: gluing those components into one shard would
     # cost real parallelism, so mark the unit shared instead (readable
-    # from every lane; any writer escalates past the plan).
+    # from every shard; any writer is cross-shard).
     uf = _UnionFind()
     for _name, units in call:
         w = sorted(u for u in units if u in unit_written)
@@ -545,7 +392,7 @@ def render_partition(plan: PartitionPlan, graph: ConflictGraph) -> str:
                      f"programs: {progs}")
     if plan.shared:
         lines.append(f"  shared (read-only): roots {_fmt(plan.shared)} — "
-                     "readable from every lane")
+                     "readable from every shard")
     for p in cross:
         touched = sorted({plan.shard_of(r) for r in p.roots
                          if plan.shard_of(r) is not None})

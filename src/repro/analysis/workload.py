@@ -35,7 +35,7 @@ additionally resolved to its reachable state atoms and programs whose
 *resolved* footprints overlap get an **alias** edge — this is the form
 the soundness property test pins against the :class:`SharingTracer`,
 and the form :func:`repro.analysis.partition.partition_workload`
-consumes before deriving worker-lane shards.
+consumes before deriving shards.
 """
 
 from __future__ import annotations
@@ -348,8 +348,8 @@ def workload_anomalies(graph: ConflictGraph,
                 f"program '{p.name}' has a ⊤ footprint ({why}): while it "
                 "is in flight no transaction can hold the latch-free "
                 "fast path",
-                notes=("the server escalates it to global dynamic OCC; "
-                       "every lane stalls behind it",))
+                notes=("the server runs it under dynamic OCC, and "
+                       "overlapping transactions wait for it",))
     return sink
 
 

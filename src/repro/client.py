@@ -96,9 +96,8 @@ def exception_from_wire(error: dict) -> BaseException:
         else:
             if retry_after is not None:
                 # Preserve the server's backoff hint on every exception
-                # type that carries one (e.g. a lane-escalation
-                # ConflictError from a cross-shard commit): the retry
-                # policy prefers it over computed jitter.
+                # type that carries one: the retry policy prefers it
+                # over computed jitter.
                 exc.retry_after = retry_after
             return exc
     return ReproError(f"{etype}: {message}")

@@ -36,75 +36,7 @@ from ..errors import PersistenceError, ReproError
 from ..lang.api import Session
 from .wal import WriteAheadLog, read_wal
 
-__all__ = ["Catalog", "IncludeSpec", "ClassSpec", "ObjectSpec",
-           "resolve_two_phase"]
-
-
-def resolve_two_phase(records: list[dict]) -> tuple[list[dict], list[dict]]:
-    """Fold two-phase-commit coordination records into their one-phase
-    equivalents, resolving in-doubt transactions by presumed abort.
-
-    The cross-shard coordinator (``repro.server.service``) writes three
-    record kinds: ``txn.prepare`` (participants + staged ops, whose LSN
-    is the transaction id), ``txn.decide`` (the commit point) and
-    ``txn.ack`` (post-publish bookkeeping).  Replay must not apply them
-    blindly — a prepare is only a *promise*.  This pass returns
-    ``(resolved, in_doubt)``:
-
-    * a prepare whose commit decision is durable becomes a plain ``txn``
-      group record **at the decide's position** — every 2PC append
-      happens under the commit lock, so the decide's place in the log is
-      the transaction's serialization order;
-    * a prepare with no decision resolves to **abort** (presumed abort):
-      it contributes nothing to replay;
-    * every transaction the doctor had to resolve (no decision, or a
-      decision without its ack) lands in ``in_doubt`` as
-      ``{"tid", "shards", "staged", "resolution"}`` — acked commits were
-      fully published before the crash and are not in doubt.
-
-    Non-2PC records pass through untouched, in order.
-    """
-    prepares: dict[int, dict] = {}
-    decided: dict[int, str] = {}
-    acked: set[int] = set()
-    for record in records:
-        op = record.get("op")
-        if op == "txn.prepare":
-            prepares[record.get("lsn")] = record
-        elif op == "txn.decide":
-            decided[record.get("args", {}).get("tid")] = \
-                record.get("args", {}).get("outcome")
-        elif op == "txn.ack":
-            acked.add(record.get("args", {}).get("tid"))
-    resolved: list[dict] = []
-    for record in records:
-        op = record.get("op")
-        if op == "txn.prepare" or op == "txn.ack":
-            continue
-        if op == "txn.decide":
-            tid = record.get("args", {}).get("tid")
-            prepare = prepares.get(tid)
-            if prepare is not None and decided.get(tid) == "commit":
-                resolved.append(
-                    {"op": "txn",
-                     "args": {"ops": prepare.get("args", {})
-                              .get("ops", [])},
-                     "lsn": record.get("lsn")})
-            continue
-        resolved.append(record)
-    in_doubt: list[dict] = []
-    for tid in sorted(prepares):
-        outcome = decided.get(tid)
-        if outcome is not None and tid in acked:
-            continue  # fully published before the crash: not in doubt
-        args = prepares[tid].get("args", {})
-        in_doubt.append({
-            "tid": tid,
-            "shards": list(args.get("shards", [])),
-            "staged": dict(args.get("staged", {})),
-            "resolution": "commit" if outcome == "commit" else "abort",
-        })
-    return resolved, in_doubt
+__all__ = ["Catalog", "IncludeSpec", "ClassSpec", "ObjectSpec"]
 
 
 def _literal(value) -> str:
@@ -248,7 +180,6 @@ class Catalog:
         catalog with the same log so subsequent mutations keep appending.
         """
         records, _torn = read_wal(wal_path)
-        records, _in_doubt = resolve_two_phase(records)
         cat = cls(session)
         cat._replaying = True
         try:

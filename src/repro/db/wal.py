@@ -130,10 +130,12 @@ class WriteAheadLog:
         line = _encode({"lsn": lsn, "op": op, "args": args})
         self._file.write(line + "\n")
         self._file.flush()
+        # The record is in the file from here on, even if the fsync below
+        # fails: the next append must follow it, not reuse its LSN.
+        self.lsn = lsn
         fire("wal.fsync")
         if self.fsync:
             os.fsync(self._file.fileno())
-        self.lsn = lsn
         return lsn
 
     def records(self) -> Iterator[dict[str, Any]]:

@@ -131,18 +131,7 @@ class ConflictError(ResourceError):
     is guaranteed recoverable: the conflicting transaction is rolled back
     completely and the session/catalog stays usable — the server's retry
     policy treats it as the signal to re-run the transaction.
-
-    ``retry_after`` is an optional server backoff hint in seconds.  Most
-    conflicts carry none (the client's jittered exponential backoff is
-    the right envelope); the server attaches one to *lane-escalation*
-    conflicts — a cross-shard two-phase commit blocked by in-flight
-    fast-path traffic — so pooled clients wait out the lanes' drain
-    estimate instead of hot-retrying into the same interference.
     """
-
-    def __init__(self, message: str, retry_after: float | None = None):
-        super().__init__(message)
-        self.retry_after = retry_after
 
 
 class OverloadedError(ResourceError):
@@ -223,10 +212,8 @@ class RecursiveClassError(ReproError):
 
 
 class PartitionError(ReproError):
-    """A workload partition artifact is malformed or unsound.
+    """A workload partition cannot be built.
 
-    Raised when loading a :class:`~repro.analysis.partition.PartitionPlan`
-    whose shards are not disjoint (or otherwise fail schema validation),
-    and when checking a plan against a live catalog whose heap shares
-    state across shard boundaries — a server must refuse such a plan
-    rather than run latch-free lanes over overlapping state."""
+    Raised when a :class:`~repro.analysis.partition.PartitionPlan` is
+    given overlapping or malformed shards, and when a workload has no
+    bounded program with roots to partition."""

@@ -419,7 +419,7 @@ class Session:
     def explain_workload(self, programs: dict, shards: int | None = None
                          ) -> str:
         """Render the static conflict graph of a workload of named
-        programs — and, with ``shards``, the derived lane partition.
+        programs — and, with ``shards``, the derived shard partition.
 
         ``programs`` maps program names to sources.  The graph is built
         *against this session*: footprint roots are resolved to live

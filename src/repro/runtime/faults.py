@@ -58,33 +58,6 @@ The registered points, and where they fire:
     written — an injected fault models the client disconnecting between
     a commit and its acknowledgement; the commit must stay durable and a
     same-id retry must observe it exactly once (dedup replay).
-
-The four ``2pc.*`` points instrument the cross-shard two-phase commit
-(:meth:`repro.server.service.Server._commit_two_phase`).  Each fires
-**twice** — immediately before and immediately after its step — so the
-matrix can arm the *crash-before* window (``at=1``: the step never
-happened) and the *crash-after* window (``at=2``: the step is durable,
-everything downstream is lost) separately.  Whatever the window, the
-recovered state must be commit-everywhere or abort-everywhere, never a
-mix.
-
-``2pc.lane_acquire``
-    around each lane-gate acquisition of a cross-shard transaction
-    (twice per lane, in canonical shard order) — a fault here happens
-    before anything executed; gates already held must be released.
-``2pc.prepare``
-    around the durable ``txn.prepare`` append.  Crash-before: nothing
-    in the log, abort everywhere.  Crash-after: an in-doubt prepare the
-    recovery doctor resolves by **presumed abort** (no decision record
-    means abort).
-``2pc.decide``
-    around the durable ``txn.decide`` append — the commit point.
-    Crash-before: presumed abort.  Crash-after: the decision is commit;
-    recovery replays the staged operations idempotently.
-``2pc.ack``
-    around the ``txn.ack`` append, after the decision is durable.  The
-    ack only spares recovery a resolution; a fault in either window
-    must leave the transaction committed everywhere.
 """
 
 from __future__ import annotations
@@ -117,10 +90,6 @@ POINTS = (
     "server.worker",
     "proto.frame",
     "proto.reply",
-    "2pc.lane_acquire",
-    "2pc.prepare",
-    "2pc.decide",
-    "2pc.ack",
 )
 
 

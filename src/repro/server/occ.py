@@ -85,7 +85,7 @@ class OCCTransaction:
     """
 
     __slots__ = ("txn_id", "latches", "reads", "extent_reads", "writes",
-                 "extent_writes", "active", "fast", "prepared")
+                 "extent_writes", "fast")
 
     def __init__(self, latches: LatchTable, fast: bool = False):
         self.txn_id = next(_txn_ids)
@@ -102,13 +102,6 @@ class OCCTransaction:
         # id(loc) -> (loc, pre-transaction value, pre-transaction version)
         self.writes: dict[int, tuple["Location", object, int]] = {}
         self.extent_writes: dict[int, tuple["VClass", object, int]] = {}
-        self.active = True
-        # Two-phase state: between the durable ``txn.prepare`` append and
-        # the durable ``txn.decide``, the transaction is *in doubt* — the
-        # staged writes must stay frozen (no further statements), yet
-        # both outcomes must remain reachable: finalize() if the commit
-        # decision lands, rollback() (presumed abort) if it does not.
-        self.prepared = False
 
     # -- tracker callbacks (store/machine/pyconv) ---------------------------
 
@@ -185,37 +178,12 @@ class OCCTransaction:
                     f"(version {version} -> {cls.version}) under "
                     f"transaction #{self.txn_id}")
 
-    def mark_prepared(self) -> None:
-        """Enter the in-doubt window of a two-phase commit.
-
-        Called by the coordinator after validation succeeds and the
-        ``txn.prepare`` record is durable.  The staged cross-lane writes
-        (the undo maps) are frozen from here: the only legal next steps
-        are :meth:`finalize` (decide = commit) or :meth:`rollback`
-        (presumed abort).
-        """
-        if not self.active:
-            raise RuntimeError(
-                f"transaction #{self.txn_id} cannot prepare: it is "
-                "already finished")
-        self.prepared = True
-
-    def staged(self) -> dict[str, int]:
-        """The staged-write manifest recorded in the ``txn.prepare``
-        record: how many locations and class extents this transaction
-        will publish if the decision is commit (the recovery doctor
-        reports it for in-doubt transactions)."""
-        return {"locations": len(self.writes),
-                "extents": len(self.extent_writes)}
-
     def finalize(self) -> None:
         """Publish: drop undo information and release every latch."""
         if not self.fast:  # a fast transaction never acquired any
             self.latches.release_all(self)
         self.writes.clear()
         self.extent_writes.clear()
-        self.active = False
-        self.prepared = False
 
     def rollback(self) -> None:
         """Restore every written location/extent to its pre-transaction

@@ -803,8 +803,6 @@ class ProtocolServer:
             "queue_depth": server.pending(),
             "queue_size": server.config.queue_size,
             "workers": server.config.workers,
-            "lanes": {"count": len(server.lane_depths()),
-                      "depths": server.lane_depths()},
             "server": server.stats.snapshot(),
             "compile": server.compile_snapshot(),
             "service": server.stats.service_summary(),
@@ -829,11 +827,6 @@ def main(argv=None) -> int:
     parser.add_argument("--queue-size", type=int, default=64)
     parser.add_argument("--optimize", action="store_true",
                         help="enable the query planner")
-    parser.add_argument("--partitions", default=None, metavar="PLAN.json",
-                        help="a partition-plan artifact (repro-lint "
-                             "--workload --emit-partition); the server "
-                             "grows one worker lane per shard")
-    parser.add_argument("--lane-workers", type=int, default=1)
     parser.add_argument("--max-frame", type=int, default=DEFAULT_MAX_FRAME)
     parser.add_argument("--stats", action="store_true",
                         help="one-shot: print a running server's stats as "
@@ -849,14 +842,7 @@ def main(argv=None) -> int:
             client.close()
         return 0
 
-    partitions = None
-    if args.partitions:
-        from ..analysis.partition import PartitionPlan
-        with open(args.partitions, "r", encoding="utf-8") as fh:
-            partitions = PartitionPlan.from_dict(json.load(fh))
-    config = ServerConfig(workers=args.workers, queue_size=args.queue_size,
-                          partitions=partitions,
-                          lane_workers=args.lane_workers)
+    config = ServerConfig(workers=args.workers, queue_size=args.queue_size)
     server = Server(wal=args.wal, snapshot=args.snapshot, config=config,
                     optimize=args.optimize)
     if server.recovery is not None:

@@ -12,13 +12,9 @@ consistent catalog:
   and skipped as *reconciled* when its effect is already present;
 * **crash after a server transaction's WAL flush but before its
   acknowledgement** — redo semantics: the records replay, the
-  transaction's effects survive (the log never runs *behind* memory);
-* **crash inside a cross-shard two-phase commit** — a ``txn.prepare``
-  without a durable ``txn.decide`` is *presumed aborted* (dropped and
-  reported), a commit decision without full application replays its
-  staged ops idempotently; either way the recovered catalog is
-  commit-everywhere or abort-everywhere, never mixed (the
-  :attr:`RecoveryReport.in_doubt` section lists each resolution).
+  transaction's effects survive (the log never runs *behind* memory).
+  A transaction touching several objects is one group ``txn`` record, so
+  it replays whole or (torn) not at all.
 
 Recovery is **idempotent**: running it twice over the same files produces
 the same catalog, because reconciliation turns every already-applied
@@ -34,7 +30,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from ..db.catalog import Catalog, resolve_two_phase
+from ..db.catalog import Catalog
 from ..db.persist import load_json
 from ..db.wal import WriteAheadLog, read_wal
 from ..errors import ReproError
@@ -55,12 +51,6 @@ class RecoveryReport:
     reconciled: list[str] = field(default_factory=list)
     rolled_back: list[str] = field(default_factory=list)
     torn_tail: bool = False
-    #: In-doubt two-phase commits the doctor resolved, one dict per
-    #: transaction: ``{"tid", "shards", "staged", "resolution"}`` where
-    #: resolution is ``"abort"`` (prepare without a durable decision —
-    #: presumed abort) or ``"commit"`` (decision durable but
-    #: unacknowledged — staged ops replayed idempotently).
-    in_doubt: list[dict] = field(default_factory=list)
 
     def summary(self) -> str:
         parts = [
@@ -75,11 +65,6 @@ class RecoveryReport:
         if self.rolled_back:
             parts.append(f"{len(self.rolled_back)} rolled back: "
                          + "; ".join(self.rolled_back))
-        if self.in_doubt:
-            parts.append(
-                f"{len(self.in_doubt)} in-doubt 2pc resolved: " + "; ".join(
-                    f"tid {t['tid']} -> {t['resolution']}"
-                    for t in self.in_doubt))
         return ", ".join(parts)
 
 
@@ -150,11 +135,6 @@ def recover(wal_path: str, snapshot_path: str | None = None,
     if torn:
         report.rolled_back.append(
             "torn tail record (crash mid-append) truncated")
-    # Resolve two-phase coordination records before replay: a durable
-    # commit decision turns its prepare's staged ops into an ordinary
-    # group-commit record; a prepare without a decision is presumed
-    # aborted and contributes nothing (see resolve_two_phase).
-    records, report.in_doubt = resolve_two_phase(records)
     flat = _flatten(records)
     report.wal_records = len(flat)
     cat._replaying = True

@@ -20,11 +20,9 @@ robustness layer:
   wedging on a dead disk (:mod:`repro.server.admission`);
 * dead workers are respawned and their in-flight request re-queued, so a
   worker crash is invisible to clients;
-* with ``ServerConfig(partitions=...)`` (a checked
-  :class:`~repro.analysis.partition.PartitionPlan`), each shard gets its
-  own worker **lane**: statically single-shard transactions serialize on
-  their lane and commit latch-free without ever conflicting, while
-  cross-shard and ⊤ transactions stay on the global dynamic-OCC pool;
+* transactions whose static footprints are provably disjoint from every
+  in-flight one commit on a latch-free fast path
+  (:mod:`repro.server.interference`); the rest run dynamic OCC;
 * on startup, a WAL path is recovered through the doctor
   (:mod:`repro.server.recover`) before the first request is admitted.
 
@@ -45,7 +43,6 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..analysis.partition import PartitionPlan
 from ..analysis.regions import FootprintSummary, program_footprint
 from ..db.catalog import Catalog
 from ..errors import ConflictError, OverloadedError, ReadOnlyError
@@ -78,21 +75,6 @@ class ServerConfig:
     #: path (see repro.server.interference).  False restores the
     #: pre-analysis behavior: every transaction runs full dynamic OCC.
     static_interference: bool = True
-    #: A :class:`~repro.analysis.partition.PartitionPlan` (or its
-    #: ``to_dict`` form) derived by ``repro.analysis.partition``.  When
-    #: set, the server grows one worker lane per shard: statically
-    #: single-shard transactions are routed to their shard's lane (and
-    #: serialize there, so they commit latch-free without conflicts),
-    #: while cross-shard and ⊤ transactions stay on the global pool.
-    #: The plan is checked against the live heap at startup
-    #: (:class:`~repro.errors.PartitionError` if shards share state).
-    partitions: PartitionPlan | dict | None = None
-    #: Worker threads per shard lane.  1 (the default) serializes each
-    #: lane — the latch-free sweet spot, since in-lane transactions can
-    #: then never conflict with each other.  With more than one worker,
-    #: the per-shard lane *gate* (which two-phase commits also take)
-    #: still serializes execution within the shard.
-    lane_workers: int = 1
 
 
 class ServerStats:
@@ -108,9 +90,7 @@ class ServerStats:
 
     FIELDS = ("submitted", "committed", "conflicts", "retries", "shed",
               "failed", "read_only_rejected", "worker_deaths",
-              "wal_failures", "fast_commits", "interference_blocked",
-              "single_shard_commits", "cross_shard_commits",
-              "two_phase_commits", "in_doubt_resolved")
+              "wal_failures", "fast_commits", "interference_blocked")
 
     #: Ring-buffer capacity for service-time samples.
     SERVICE_SAMPLES = 2048
@@ -162,7 +142,7 @@ class _Request:
     """One submitted transaction and its completion slot."""
 
     __slots__ = ("seq", "fn", "budget", "footprint", "done", "result",
-                 "error", "abandoned", "lane", "shards")
+                 "error", "abandoned")
 
     def __init__(self, fn, budget: Budget | None, footprint=None):
         self.seq = next(_request_ids)
@@ -176,11 +156,6 @@ class _Request:
         self.result = None
         self.error: BaseException | None = None
         self.abandoned = False
-        # Shard-lane index this request was routed to (None = global pool).
-        self.lane: int | None = None
-        # Ascending participant shards of a cross-shard (two-phase
-        # commit) request; None for single-shard and global-pool ones.
-        self.shards: tuple[int, ...] | None = None
 
     def finish(self, result) -> None:
         self.result = result
@@ -435,10 +410,9 @@ class Server:
         self._interference = InterferenceTable()
         # Footprint summaries per (source, purity snapshot): a summary
         # computed while a name was pure must not be reused after the
-        # name is rebound to something impure.  Guarded by its own lock:
-        # submit() routes on summaries without the catalog lock.
+        # name is rebound to something impure.  Only _admit reads it,
+        # under the catalog lock.
         self._summaries: dict = {}
-        self._summaries_lock = threading.Lock()
         # Resolved footprints, epoch-validated (see resolve_footprint).
         self._resolved: dict = {}
         self._queue = AdmissionQueue(self.config.queue_size)
@@ -448,33 +422,8 @@ class Server:
         self._stop = threading.Event()
         self._threads_lock = threading.Lock()
         self._threads: list[threading.Thread] = []
-        # Shard-lane plumbing.  The plan is validated against the live
-        # heap *before* any worker starts: a partition whose shards
-        # reach shared state must be refused, not served.
-        plan = self.config.partitions
-        if isinstance(plan, dict):
-            plan = PartitionPlan.from_dict(plan)
-        self.partitions: PartitionPlan | None = plan
-        self._lanes: list[AdmissionQueue] = []
-        # One *gate* per shard: a lane worker takes its own shard's gate
-        # around each attempt, and a two-phase commit takes every
-        # participant gate in ascending shard order — so a holder only
-        # ever waits on gates strictly greater than all it holds, and
-        # the lane handshake is deadlock-free by construction.
-        self._gates: list[threading.Lock] = []
-        if plan is not None:
-            plan.check(self.session)
-            self._lanes = [AdmissionQueue(self.config.queue_size)
-                           for _ in plan.shards]
-            self._gates = [threading.Lock() for _ in plan.shards]
-        if self.recovery is not None and self.recovery.in_doubt:
-            self.stats.incr("in_doubt_resolved",
-                            len(self.recovery.in_doubt))
         for _ in range(self.config.workers):
-            self._spawn_worker(self._queue)
-        for lane in self._lanes:
-            for _ in range(max(1, self.config.lane_workers)):
-                self._spawn_worker(lane)
+            self._spawn_worker()
 
     # -- client API ---------------------------------------------------------
 
@@ -497,42 +446,14 @@ class Server:
             # The wire protocol anchors at frame receipt; anchor here
             # only for direct in-process submissions.
             budget.note_enqueued()
-        queue = self._route(req)
         try:
-            queue.put(req)
+            self._queue.put(req)
         except OverloadedError as exc:
             self.stats.incr("shed")
             if exc.retry_after is None:
                 exc.retry_after = self.suggest_retry_after()
             raise
         return req
-
-    def _route(self, req: _Request) -> AdmissionQueue:
-        """Pick the admission queue: a shard lane for statically
-        single-shard transactions, the *lowest participant's* lane for
-        two-shard transactions (which commit through the two-phase
-        handshake), the global pool for everything else (⊤, 3+ shards,
-        shared-root writers).
-
-        Routing is advisory — whichever queue a request lands in, the
-        interference table still arbitrates its fast-path admission — so
-        classifying against a summary computed outside the catalog lock
-        is safe.
-        """
-        if self.partitions is None:
-            return self._queue
-        shards = self.partitions.classify_shards(self._summary_of(req))
-        if not shards:  # None (⊤/unknown/outside the plan) or rootless
-            return self._queue
-        if len(shards) == 1:
-            req.lane = shards[0]
-            return self._lanes[shards[0]]
-        if len(shards) == 2:
-            # The coordinator runs on the lowest shard's lane and takes
-            # the second participant's gate in ascending order.
-            req.shards = shards
-            return self._lanes[shards[0]]
-        return self._queue
 
     def wait(self, req: _Request, timeout: float | None = None):
         """Block for a request's result; re-raises its failure.
@@ -578,16 +499,12 @@ class Server:
         return self._breaker.state
 
     def pending(self) -> int:
-        return len(self._queue) + sum(len(q) for q in self._lanes)
-
-    def lane_depths(self) -> list[int]:
-        """Current queue depth per shard lane (empty without partitions)."""
-        return [len(q) for q in self._lanes]
+        return len(self._queue)
 
     def compile_snapshot(self) -> dict:
         """The served session's closure-compilation counters.
 
-        Worker and lane transactions execute through the shared session,
+        Worker transactions execute through the shared session,
         so these count the programs the server actually lowered
         (``compiled_programs``), handed back to the interpreter
         (``compile_fallbacks``) and served from the program cache
@@ -624,11 +541,10 @@ class Server:
         if self._stop.is_set():
             return
         self._stop.set()
-        for queue in [self._queue, *self._lanes]:
-            for req in queue.close():
-                self.stats.incr("shed")
-                req.fail(OverloadedError("server shut down before this "
-                                         "request was served"))
+        for req in self._queue.close():
+            self.stats.incr("shed")
+            req.fail(OverloadedError("server shut down before this "
+                                     "request was served"))
         with self._threads_lock:
             threads = list(self._threads)
         for t in threads:
@@ -642,20 +558,18 @@ class Server:
 
     # -- the worker pool ----------------------------------------------------
 
-    def _spawn_worker(self, queue: AdmissionQueue) -> None:
-        name = ("repro-server-worker" if queue is self._queue
-                else f"repro-server-lane-{self._lanes.index(queue)}")
-        t = threading.Thread(target=self._worker_loop, args=(queue,),
-                             name=name, daemon=True)
+    def _spawn_worker(self) -> None:
+        t = threading.Thread(target=self._worker_loop,
+                             name="repro-server-worker", daemon=True)
         with self._threads_lock:
             self._threads.append(t)
         t.start()
 
-    def _worker_loop(self, queue: AdmissionQueue) -> None:
+    def _worker_loop(self) -> None:
         req: _Request | None = None
         try:
             while not self._stop.is_set():
-                req = queue.get(timeout=self.config.poll_interval)
+                req = self._queue.get(timeout=self.config.poll_interval)
                 if req is None:
                     continue
                 fire("server.worker")  # the worker-death window
@@ -665,13 +579,13 @@ class Server:
                 req = None
         except BaseException:
             # Worker death: self-heal.  The request it held goes back to
-            # the front of its queue (it was already admitted), and a
-            # replacement thread takes this one's place on the same lane.
+            # the front of the queue (it was already admitted), and a
+            # replacement thread takes this one's place.
             self.stats.incr("worker_deaths")
             if not self._stop.is_set():
                 if req is not None and not req.done.is_set():
-                    queue.put_front(req)
-                self._spawn_worker(queue)
+                    self._queue.put_front(req)
+                self._spawn_worker()
         finally:
             with self._threads_lock:
                 me = threading.current_thread()
@@ -695,121 +609,37 @@ class Server:
         rng = random.Random(req.seq)
         attempt = 0
         while True:
-            gates: list[threading.Lock] = []
+            txn = handle = None
             try:
-                try:
-                    gates = self._acquire_gates(req)
-                    fast = self._admit(req)
-                except BaseException as exc:
-                    # Blocked (or faulted) before anything executed:
-                    # an in-flight fast-path transaction overlaps us, or
-                    # a lane-gate acquisition faulted.  Retry recoverable
-                    # failures like any other conflict.
-                    if isinstance(exc, ConflictError):
-                        self.stats.incr("conflicts")
-                        if (req.shards is not None
-                                and getattr(exc, "retry_after", None)
-                                is None):
-                            # A cross-shard commit blocked at admission:
-                            # hint the server's own drain estimate so
-                            # remote clients back off on it instead of
-                            # hot-retrying into the same interference.
-                            exc.retry_after = self.suggest_retry_after()
-                    if (policy.is_retriable(exc)
-                            and attempt + 1 < policy.max_attempts
-                            and not req.abandoned
-                            and not self._stop.is_set()):
-                        self.stats.incr("retries")
-                        self._release_gates(gates)
-                        gates = []
-                        time.sleep(policy.backoff_for(exc, attempt, rng))
-                        attempt += 1
-                        continue
-                    self.stats.incr("failed")
-                    req.fail(exc)
-                    return
-                txn = OCCTransaction(self._latches, fast=fast)
+                # Admission may block before anything executes (an
+                # in-flight fast-path transaction overlaps us); that
+                # ConflictError retries like any other.
+                txn = OCCTransaction(self._latches, fast=self._admit(req))
                 handle = ClientTransaction(self, txn, budget)
-                try:
-                    result = req.fn(handle)
-                    if req.shards is not None:
-                        self._commit_two_phase(txn, handle, req)
-                    else:
-                        self._commit(txn, handle, req)
-                except BaseException as exc:
+                result = req.fn(handle)
+                self._commit(txn, handle, req)
+            except BaseException as exc:
+                if txn is not None:
                     self._rollback(txn, handle, req)
-                    if isinstance(exc, ConflictError):
-                        self.stats.incr("conflicts")
-                    if (policy.is_retriable(exc)
-                            and attempt + 1 < policy.max_attempts
-                            and not req.abandoned
-                            and not self._stop.is_set()):
-                        self.stats.incr("retries")
-                        self._release_gates(gates)
-                        gates = []
-                        time.sleep(policy.backoff_for(exc, attempt, rng))
-                        attempt += 1
-                        continue
-                    self.stats.incr("failed")
-                    req.fail(exc)
-                    return
-                else:
-                    handle._finished = True
-                    self.stats.incr("committed")
-                    if txn.fast:
-                        self.stats.incr("fast_commits")
-                    if self.partitions is not None:
-                        if req.shards is not None:
-                            self.stats.incr("two_phase_commits")
-                        elif req.lane is not None:
-                            self.stats.incr("single_shard_commits")
-                        else:
-                            self.stats.incr("cross_shard_commits")
-                    req.finish(result)
-                    return
-            finally:
-                self._release_gates(gates)
-
-    # -- shard-lane gates ---------------------------------------------------
-
-    def _acquire_gates(self, req: _Request) -> list[threading.Lock]:
-        """Take the lane gates this attempt's execution excludes.
-
-        A single-shard request takes its own lane's gate; a cross-shard
-        (two-phase) request takes every participant shard's gate in
-        ascending shard order.  Ordered acquisition makes the handshake
-        deadlock-free: a holder only ever waits on a gate strictly
-        greater than every gate it already holds.  Gates acquired before
-        a failure are released by the caller (or here, if the failure
-        happens mid-acquisition).
-        """
-        shards: tuple[int, ...]
-        if req.shards is not None:
-            shards = req.shards
-        elif req.lane is not None:
-            shards = (req.lane,)
-        else:
-            return []
-        held: list[threading.Lock] = []
-        try:
-            for shard in shards:
-                if req.shards is not None:
-                    fire("2pc.lane_acquire")
-                gate = self._gates[shard]
-                gate.acquire()
-                held.append(gate)
-                if req.shards is not None:
-                    fire("2pc.lane_acquire")
-            return held
-        except BaseException:
-            self._release_gates(held)
-            raise
-
-    @staticmethod
-    def _release_gates(gates: list[threading.Lock]) -> None:
-        for gate in reversed(gates):
-            gate.release()
-        gates.clear()
+                if isinstance(exc, ConflictError):
+                    self.stats.incr("conflicts")
+                if (policy.is_retriable(exc)
+                        and attempt + 1 < policy.max_attempts
+                        and not req.abandoned
+                        and not self._stop.is_set()):
+                    self.stats.incr("retries")
+                    time.sleep(policy.backoff_for(exc, attempt, rng))
+                    attempt += 1
+                    continue
+                self.stats.incr("failed")
+                req.fail(exc)
+                return
+            handle._finished = True
+            self.stats.incr("committed")
+            if txn.fast:
+                self.stats.incr("fast_commits")
+            req.finish(result)
+            return
 
     # -- static interference admission --------------------------------------
 
@@ -844,14 +674,12 @@ class Server:
         # name was pure is unsound once the name is rebound impure.
         latent = frozenset(self.session.purity.snapshot())
         key = (src, latent)
-        with self._summaries_lock:
-            hit = self._summaries.get(key)
+        hit = self._summaries.get(key)
         if hit is None:
             hit = program_footprint(src, set(latent))
-            with self._summaries_lock:
-                if len(self._summaries) >= 256:
-                    self._summaries.clear()
-                self._summaries[key] = hit
+            if len(self._summaries) >= 256:
+                self._summaries.clear()
+            self._summaries[key] = hit
         return hit
 
     def _commit(self, txn: OCCTransaction, handle: ClientTransaction,
@@ -880,85 +708,6 @@ class Server:
             self.catalog.wal.append(
                 "txn", {"ops": [{"op": op, "args": args}
                                 for op, args in buffer]})
-
-    def _commit_two_phase(self, txn: OCCTransaction,
-                          handle: ClientTransaction,
-                          req: _Request) -> None:
-        """Commit a cross-shard transaction through durable 2PC records.
-
-        All participant lane gates are already held (ascending order, see
-        :meth:`_acquire_gates`) and everything below runs under the
-        catalog lock, so the record sequence *is* the serialization
-        order:
-
-        1. validate, exactly like the one-phase path;
-        2. ``txn.prepare`` — participant shards + the staged ops.  Its
-           LSN is the transaction id: unique per log, even across
-           restarts (truncation empties the log, so no stale prepare
-           survives it);
-        3. ``txn.decide`` commit — **the commit point**.  Any failure
-           before this record is durable aborts cleanly everywhere
-           (presumed abort: recovery treats a prepare without a decision
-           as aborted).  Any failure *after* it is swallowed: the
-           decision is durable, the transaction IS committed, and
-           recovery replays the staged ops idempotently;
-        4. publish in memory, release the interference claim;
-        5. ``txn.ack`` — bookkeeping that spares the recovery doctor an
-           in-doubt resolution; never affects the outcome.
-        """
-        with self._lock:
-            fire("server.conflict")
-            txn.validate()
-            buffer = handle._wal_buffer
-            if not buffer or self.catalog.wal is None:
-                # Nothing durable to coordinate (read-only body, or no
-                # WAL): the in-memory publish is already atomic under
-                # the catalog lock.
-                txn.finalize()
-                self._interference.release(req.seq)
-                return
-            ops = [{"op": op, "args": args} for op, args in buffer]
-            try:
-                tid = self._breaker.run(
-                    lambda: self._append_prepare(req, txn, ops))
-            except BaseException:
-                self.stats.incr("wal_failures")
-                raise  # presumed abort: the caller rolls back
-            txn.mark_prepared()
-            decided = False
-            try:
-                fire("2pc.decide")
-                self._breaker.run(lambda: self.catalog.wal.append(
-                    "txn.decide", {"tid": tid, "outcome": "commit"}))
-                decided = True
-                fire("2pc.decide")
-                txn.finalize()
-                self._interference.release(req.seq)
-                fire("2pc.ack")
-                self.catalog.wal.append("txn.ack", {"tid": tid})
-                fire("2pc.ack")
-            except BaseException:
-                self.stats.incr("wal_failures")
-                if not decided:
-                    raise  # presumed abort, same as a prepare failure
-                # The commit decision is durable: whatever just failed
-                # (the ack append, an injected fault), this transaction
-                # is committed.  Finish the in-memory publish if the
-                # failure preceded it and swallow the exception — the
-                # client must see success, and a restart replays the
-                # staged ops idempotently.
-                if txn.active:
-                    txn.finalize()
-                    self._interference.release(req.seq)
-
-    def _append_prepare(self, req: _Request, txn: OCCTransaction,
-                        ops: list[dict]) -> int:
-        fire("2pc.prepare")
-        lsn = self.catalog.wal.append(
-            "txn.prepare", {"shards": list(req.shards), "ops": ops,
-                            "staged": txn.staged()})
-        fire("2pc.prepare")
-        return lsn
 
     def _rollback(self, txn: OCCTransaction,
                   handle: ClientTransaction | None = None,

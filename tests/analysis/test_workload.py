@@ -1,7 +1,6 @@
 """The workload interference layer: conflict graphs, RP6xx, partitions."""
 
 import json
-import re
 
 import pytest
 
@@ -198,23 +197,18 @@ def test_classify():
     assert plan.classify(None) is None
 
 
-def test_partition_roundtrip_and_validation():
+def test_partition_to_dict_and_validation():
     plan = partition_workload(_graph4(), shards=3)
     data = json.loads(json.dumps(plan.to_dict()))
-    again = PartitionPlan.from_dict(data)
-    assert again.shards == plan.shards
-    assert again.ambient == plan.ambient
-    assert again.assignments == plan.assignments
+    assert data["version"] == 1
+    assert data["shards"] == [sorted(s) for s in plan.shards]
+    assert data["ambient"] == sorted(plan.ambient)
+    assert data["assignments"] == plan.assignments
 
-    with pytest.raises(PartitionError):
-        PartitionPlan.from_dict({"version": 99, "shards": [["a"]]})
-    with pytest.raises(PartitionError):
-        PartitionPlan.from_dict({"version": 1, "shards": []})
     with pytest.raises(PartitionError):
         PartitionPlan([["a"], ["a", "b"]])  # overlapping shards
     with pytest.raises(PartitionError):
-        PartitionPlan.from_dict({"version": 1, "shards": [["a"]],
-                                 "assignments": {"p": 7}})
+        PartitionPlan([["a"], []])  # empty shard
 
 
 def test_partition_nothing_to_partition():
@@ -225,21 +219,18 @@ def test_partition_nothing_to_partition():
         partition_workload(g)
 
 
-def test_check_rejects_shards_sharing_live_state():
-    # joe lives inside Emp's extent: a plan separating them is unsound.
+def test_derivation_keeps_aliasing_roots_in_one_shard():
+    # joe lives inside Emp's extent: the session-aware derivation never
+    # separates them, although no program names both.
     cat = _catalog()
     cat.define_class("Emp", own=["joe"])
-    plan = PartitionPlan([["joe"], ["Emp"]])
-    with pytest.raises(PartitionError, match="reach shared state"):
-        plan.check(cat.session)
-    # ...and the session-aware derivation never produces it.
     g = build_conflict_graph(
         {"one": WRITE.format(n="joe", k=9),
          "scan": "c-query(fn S => size(S), Emp)"},
         session=cat.session)
     derived = partition_workload(g, shards=2, session=cat.session)
+    assert derived.shard_of("joe") is not None
     assert derived.shard_of("joe") == derived.shard_of("Emp")
-    derived.check(cat.session)
 
 
 def test_render_partition_mentions_cross_shard():
@@ -302,34 +293,40 @@ def test_shared_root_read_by_one_component_stays_in_its_shard():
     assert plan.shard_of("rates") == plan.shard_of("joe")
 
 
-def test_shared_roundtrip_and_shard_overlap_rejected():
+def test_shared_to_dict_and_shard_overlap_rejected():
     plan = partition_workload(_rate_table_graph(), shards=2)
-    again = PartitionPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
-    assert again.shared == {"rates"}
-    assert again.shards == plan.shards
+    assert plan.to_dict()["shared"] == ["rates"]
     with pytest.raises(PartitionError, match="both shared and in shard"):
         PartitionPlan([["joe"]], shared=["joe"])
 
 
-def test_check_rejects_shared_root_aliasing_a_shard():
-    # `Emp` contains joe: marking it shared would let another lane read
-    # state joe's lane writes.
+def test_derivation_never_shares_a_root_aliasing_a_shard():
+    # Both programs only read `Emp`, so by name it is reference data.
+    # But `Emp` contains joe, which one program writes: with the session
+    # the derivation keeps it with joe instead of marking it shared.
     cat = _catalog()
     cat.define_class("Emp", own=["joe"])
-    plan = PartitionPlan([["joe"], ["amy"]], shared=["Emp"])
-    with pytest.raises(PartitionError, match="shared root 'Emp'"):
-        plan.check(cat.session)
+    progs = {n: "query(fn x => update(x, Salary, "
+                "c-query(fn S => size(S), Emp)), %s)" % n
+             for n in ("joe", "amy")}
+    assert partition_workload(build_conflict_graph(progs),
+                              shards=2).shared == {"Emp"}
+    plan = partition_workload(
+        build_conflict_graph(progs, session=cat.session), shards=2,
+        session=cat.session)
+    assert "Emp" not in plan.shared
+    assert plan.shard_of("Emp") == plan.shard_of("joe")
 
 
 def test_render_partition_lists_shared_roots():
     g = _rate_table_graph()
     plan = partition_workload(g, shards=2)
     assert ("  shared (read-only): roots {rates} — readable from every "
-            "lane") in render_partition(plan, g)
+            "shard") in render_partition(plan, g)
 
 
 # ---------------------------------------------------------------------------
-# classify_shards: the two-phase coordinator's routing oracle
+# classify: single shard or None
 # ---------------------------------------------------------------------------
 
 def _summary(src):
@@ -342,71 +339,36 @@ def _plan3():
                          ambient=ambient_names())
 
 
-def test_classify_shards_orders_participants_ascending():
+def test_classify_straddling_program_is_none():
     plan = _plan3()
-    # Program order bob-then-joe; the answer is canonical either way —
-    # the acquisition order that makes the lane handshake deadlock-free.
-    up = _summary("query(fn x => update(x, Salary, "
-                  "query(fn y => y.Salary, bob)), joe)")
-    down = _summary("query(fn x => update(x, Salary, "
-                    "query(fn y => y.Salary, joe)), bob)")
-    assert plan.classify_shards(up) == (0, 2)
-    assert plan.classify_shards(down) == (0, 2)
-    # Multi-shard means not single-shard: classify() still answers None.
-    assert plan.classify(up) is None
+    for src in ("query(fn x => update(x, Salary, "
+                "query(fn y => y.Salary, bob)), joe)",
+                "query(fn x => update(x, Salary, "
+                "query(fn y => y.Salary, joe)), bob)"):
+        assert plan.classify(_summary(src)) is None
+    assert plan.classify(_summary(RMW.format(n="bob"))) == 2
 
 
-def test_classify_shards_none_for_unplaceable():
+def test_classify_none_for_unplaceable():
     plan = _plan3()
-    assert plan.classify_shards(None) is None
+    assert plan.classify(None) is None
     top = _summary("c-query(fn S => map(fn x => "
                    "query(fn v => update(v, Salary, 0), x), S), Emp)")
     assert top.writes is None  # ⊤
-    assert plan.classify_shards(top) is None
+    assert plan.classify(top) is None
     # `sue` lives outside every shard: the plan cannot place it.
-    assert plan.classify_shards(_summary(RMW.format(n="sue"))) is None
+    assert plan.classify(_summary(RMW.format(n="sue"))) is None
 
 
-def test_classify_shards_empty_for_rootless():
-    # Bounded, but every read is ambient: trivially disjoint from all
-    # lanes — the empty tuple, distinct from None's "cannot place".
-    plan = _plan3()
-    assert plan.classify_shards(_summary("1 + 2")) == ()
+def test_classify_none_for_rootless():
+    # Bounded, but every read is ambient: trivially disjoint from every
+    # shard, so no single shard claims it.
+    assert _plan3().classify(_summary("1 + 2")) is None
 
 
-def test_classify_shards_shared_reads_do_not_count():
+def test_classify_shared_reads_do_not_count():
     plan = PartitionPlan([["joe"], ["amy"]], ambient=ambient_names(),
                          shared=["rates"])
     s = _summary("query(fn x => update(x, Salary, "
                  "x.Salary + size(rates)), joe)")
-    assert plan.classify_shards(s) == (0,)
-
-
-# ---------------------------------------------------------------------------
-# check(): golden renders naming the offending roots
-# ---------------------------------------------------------------------------
-
-def test_check_message_names_both_offending_roots():
-    cat = _catalog()
-    cat.define_class("Emp", own=["joe"])
-    plan = PartitionPlan([["joe"], ["Emp"]])
-    with pytest.raises(PartitionError) as excinfo:
-        plan.check(cat.session)
-    assert re.fullmatch(
-        r"shards 0 and 1 reach shared state \((loc|ext) [^)]+\) through "
-        r"roots 'joe' \(shard 0\) and 'Emp' \(shard 1\): the partition "
-        r"is unsound for latch-free lanes",
-        str(excinfo.value))
-
-
-def test_check_message_names_shared_root_and_shard_root():
-    cat = _catalog()
-    cat.define_class("Emp", own=["joe"])
-    plan = PartitionPlan([["joe"], ["amy"]], shared=["Emp"])
-    with pytest.raises(PartitionError) as excinfo:
-        plan.check(cat.session)
-    assert re.fullmatch(
-        r"shared root 'Emp' and shard 0 reach shared state "
-        r"\((loc|ext) [^)]+\) through root 'joe' \(shard 0\): a lane "
-        r"could read state another lane writes",
-        str(excinfo.value))
+    assert plan.classify(s) == 0

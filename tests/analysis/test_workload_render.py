@@ -104,18 +104,14 @@ def test_cli_workload_report(tmp_path, capsys):
     assert "partition: 2 shard(s), 4/5 program(s) single-shard (80%)" in out
 
 
-def test_cli_workload_json_and_emit_partition(tmp_path, capsys):
-    plan_file = tmp_path / "plan.json"
+def test_cli_workload_json(tmp_path, capsys):
     assert main(["--workload", "--shards", "2", "--format", "json",
-                 "--emit-partition", str(plan_file),
                  str(_manifest(tmp_path))]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["version"] == 1
     assert {p["name"] for p in payload["programs"]} == set(PROGS)
     assert {d["code"] for d in payload["anomalies"]} == {"RP601", "RP603"}
     assert payload["partition"]["shards"] == [["amy", "joe"], ["bob"]]
-    emitted = json.loads(plan_file.read_text())
-    assert emitted == payload["partition"]
 
 
 def test_cli_workload_no_programs(tmp_path, capsys):

@@ -141,27 +141,6 @@ def test_server_worker_path_runs_compiled_programs():
         assert snap["compile_cache_hits"] > 0
 
 
-def test_server_lane_path_runs_compiled_programs():
-    from repro.analysis.partition import partition_workload
-    from repro.analysis.workload import build_conflict_graph
-    cat = _catalog()
-    rmw = "query(fn x => update(x, Salary, x.Salary + 1), {n})"
-    graph = build_conflict_graph(
-        {f"t_{n}": rmw.format(n=n) for n in ("joe", "amy")},
-        session=cat.session)
-    plan = partition_workload(graph, shards=2, session=cat.session)
-    with Server(cat, config=ServerConfig(workers=2,
-                                         partitions=plan)) as server:
-        client = server.connect()
-        for n in ("joe", "amy"):
-            for _ in range(5):
-                client.exec(rmw.format(n=n))
-        assert client.eval_py("query(fn x => x.Salary, joe)") == 105
-        snap = server.compile_snapshot()
-        assert snap["compiled_programs"] > 0
-        assert snap["compiled_runs"] > 0
-
-
 def test_stats_wire_op_carries_compile_counters():
     from repro.client import Client
     from repro.server.protocol import ProtocolServer

@@ -254,103 +254,6 @@ def _proto_reply_scenario(tmp_path, point):
     _assert_wal_replayable(cat)
 
 
-# -- cross-shard two-phase commit ------------------------------------------
-#
-# Every 2pc.* point fires twice (before/after its step), so ``at=1`` arms
-# the crash-before window and ``at=2`` the crash-after window.  For each
-# window the table below pins the *only* acceptable outcome — and whatever
-# the window, the invariant is commit-everywhere or abort-everywhere:
-# after the fault, both shards' objects must agree, in memory and after a
-# fresh WAL recovery.  (``2pc.lane_acquire`` fires twice per lane, so its
-# two-shard matrix has four windows, all pre-execution aborts.)
-
-_2PC_WINDOWS = {
-    "2pc.lane_acquire": {1: ("abort", []), 2: ("abort", []),
-                         3: ("abort", []), 4: ("abort", [])},
-    "2pc.prepare": {1: ("abort", []), 2: ("abort", ["abort"])},
-    "2pc.decide": {1: ("abort", ["abort"]), 2: ("commit", ["commit"])},
-    "2pc.ack": {1: ("commit", ["commit"]), 2: ("commit", [])},
-}
-
-
-def _two_phase_server(tmp_path, tag):
-    from repro.analysis.partition import partition_workload
-    from repro.analysis.workload import build_conflict_graph
-    from repro.server import ServerConfig
-
-    wal = str(tmp_path / f"2pc-{tag}.wal")
-    cat = Catalog(wal=wal)
-    cat.new_object("joe", Name="Joe", mutable={"Salary": 0})
-    cat.new_object("amy", Name="Amy", mutable={"Salary": 0})
-    rmw = "query(fn x => update(x, Salary, x.Salary + 1), {n})"
-    graph = build_conflict_graph(
-        {f"t_{n}": rmw.format(n=n) for n in ("joe", "amy")},
-        session=cat.session)
-    plan = partition_workload(graph, shards=2, session=cat.session)
-    return cat, ServerConfig(partitions=plan), wal
-
-
-def _xfer(value):
-    """A cross-shard transaction: both writes commit or neither does."""
-    from repro.analysis.regions import FootprintSummary
-
-    names = frozenset({"joe", "amy"})
-
-    def body(txn):
-        txn.update_object("joe", "Salary", value)
-        txn.update_object("amy", "Salary", value)
-
-    return body, FootprintSummary(names, names)
-
-
-def _salaries(session):
-    return {n: session.eval_py(f"query(fn x => x.Salary, {n})")
-            for n in ("joe", "amy")}
-
-
-def _two_phase_scenario(tmp_path, point):
-    from repro.server import Server
-    from repro.server.recover import recover
-
-    for at, (outcome, in_doubt) in _2PC_WINDOWS[point].items():
-        cat, cfg, wal = _two_phase_server(tmp_path, f"{point}-{at}")
-        body, footprint = _xfer(1)
-        with Server(cat, config=cfg) as server:
-            client = server.connect()
-            with inject(point, at=at):
-                if outcome == "abort":
-                    with pytest.raises(InjectedFault):
-                        client.run(body, footprint=footprint)
-                else:
-                    # The commit decision was durable before the fault:
-                    # the client must see success (the coordinator
-                    # swallows post-decide failures and recovery
-                    # finishes the job).
-                    client.run(body, footprint=footprint)
-            # Never a mixed state in memory, and the exact outcome the
-            # window demands.
-            live = _salaries(cat.session)
-            assert live["joe"] == live["amy"], (point, at, live)
-            assert live["joe"] == (1 if outcome == "commit" else 0)
-            stats = server.stats.snapshot()
-            assert stats["two_phase_commits"] == \
-                (1 if outcome == "commit" else 0)
-            # The server survives the fault: gates were released, a
-            # clean cross-shard commit goes through.
-            body2, fp2 = _xfer(5)
-            client.run(body2, footprint=fp2)
-            assert _salaries(cat.session) == {"joe": 5, "amy": 5}
-        # A fresh recovery over the same WAL resolves any in-doubt
-        # transaction the window left behind — to the same outcome.
-        recovered, report = recover(wal)
-        vals = _salaries(recovered.session)
-        assert vals == {"joe": 5, "amy": 5}
-        assert [t["resolution"] for t in report.in_doubt] == in_doubt
-        for t in report.in_doubt:
-            assert t["shards"] == [0, 1]
-        recovered.wal.close()
-
-
 SCENARIOS = {
     "store.write": lambda tmp, p: _session_scenario(tmp, p),
     "journal.append": lambda tmp, p: _session_scenario(tmp, p),
@@ -365,21 +268,14 @@ SCENARIOS = {
     "server.worker": _server_worker_scenario,
     "proto.frame": _proto_frame_scenario,
     "proto.reply": _proto_reply_scenario,
-    "2pc.lane_acquire": _two_phase_scenario,
-    "2pc.prepare": _two_phase_scenario,
-    "2pc.decide": _two_phase_scenario,
-    "2pc.ack": _two_phase_scenario,
 }
 
 
 def test_matrix_covers_every_registered_point():
     # Auto-discovered from the runtime's own registry: registering a new
-    # injection point without a matching consistency scenario (or a
-    # 2pc.* point without a crash-before/crash-after window table) fails
-    # here before the point ships untested.
+    # injection point without a matching consistency scenario fails here
+    # before the point ships untested.
     assert set(SCENARIOS) == set(faults.registered_points())
-    assert set(_2PC_WINDOWS) == {p for p in faults.registered_points()
-                                 if p.startswith("2pc.")}
 
 
 @pytest.mark.parametrize("point", faults.registered_points())

@@ -2,8 +2,12 @@
 
 import json
 
+import pytest
+
 from repro.db.catalog import Catalog
 from repro.db.persist import dump_json
+from repro.errors import PersistenceError
+from repro.runtime import faults
 from repro.server import Server, recover
 
 
@@ -116,6 +120,75 @@ def test_group_commit_txn_records_replay_atomically(tmp_path):
     # ...and replays back as both updates.
     recovered, report = recover(str(wal))
     assert _observe(recovered) == expected
+
+
+def _salaries(cat):
+    return tuple(cat.session.eval_py(f"query(fn x => x.Salary, {n})")
+                 for n in ("joe", "amy"))
+
+
+def _both(txn):
+    txn.update_object("joe", "Salary", 1000)
+    txn.update_object("amy", "Salary", 2000)
+
+
+@pytest.mark.parametrize("point,logged", [("wal.append", False),
+                                          ("wal.fsync", True)])
+def test_commit_fault_keeps_two_object_update_atomic(tmp_path, point,
+                                                     logged):
+    # One commit writing two objects is one group record appended under
+    # the catalog lock: a WAL fault during Server._commit must leave both
+    # updates or neither, in memory and after recovery.
+    wal = tmp_path / "db.wal"
+    cat = _seed(wal)
+    before = _salaries(cat)
+    with Server(cat) as server:
+        client = server.connect()
+        with faults.inject(point, exc_type=OSError):
+            with pytest.raises(OSError):
+                client.run(_both)
+        assert _salaries(cat) == before
+        # The failed commit left the server and its log usable.
+        client.update_object("joe", "Salary", 7)
+    cat.wal.close()
+    recovered, report = recover(str(wal))
+    assert report.rolled_back == []
+    # wal.append fails before any byte is written; wal.fsync fails after
+    # the whole record is written, so replay applies it (the log may run
+    # ahead of memory by that one record, never split it).
+    joe, amy = _salaries(recovered)
+    assert (joe, amy) == ((7, 2000) if logged else (7, before[1]))
+
+
+def _prepare_decide_ack_log(wal_path):
+    """A committed two-object transaction as builds with in-process
+    two-phase commit logged it: ``txn.prepare``, ``txn.decide``,
+    ``txn.ack``."""
+    cat = _seed(wal_path)
+    ops = [{"op": "update_object",
+            "args": {"object": n, "label": "Salary", "value": 999}}
+           for n in ("joe", "amy")]
+    tid = cat.wal.append("txn.prepare", {
+        "shards": [0, 1], "ops": ops,
+        "staged": {"locations": 2, "extents": 0}})
+    cat.wal.append("txn.decide", {"tid": tid, "outcome": "commit"})
+    cat.wal.append("txn.ack", {"tid": tid})
+    cat.wal.close()
+    return _observe(cat)
+
+
+def test_prepare_decide_ack_records_are_never_applied_silently(tmp_path):
+    wal = tmp_path / "db.wal"
+    expected = _prepare_decide_ack_log(wal)
+    with pytest.raises(PersistenceError, match=r"unknown op 'txn\.prepare'"):
+        Catalog.recover(str(wal))
+    cat, report = recover(str(wal))
+    assert [note.split(" could not re-apply")[0]
+            for note in report.rolled_back] == [
+        "lsn 6 (txn.prepare)", "lsn 7 (txn.decide)", "lsn 8 (txn.ack)"]
+    # Nothing half-applied: neither salary took the staged 999.
+    assert _observe(cat) == expected
+    assert _salaries(cat) == (111, 200)
 
 
 def test_recovered_catalog_keeps_logging(tmp_path):
