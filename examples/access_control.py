@@ -14,7 +14,7 @@ A personnel database where:
 
 from repro import Session
 from repro.classes.operations import blocking_class_source, cascade_delete
-from repro.objects.effects import ImpureViewError
+from repro.analysis.effects import ImpureViewError
 
 NAMES = "fn S => map(fn o => query(fn v => v.Name, o), S)"
 

@@ -11,12 +11,12 @@ A unified multi-pass analysis layer over the parsed (and, inside a
   updates that are silently lost on re-materialization (RP2xx);
 * :mod:`repro.analysis.deadcode` — dead let bindings, include clauses with
   statically-false predicates, constant conditions (RP3xx);
-* :mod:`repro.analysis.effects` — the generalized effect pass (RP4xx),
-  the canonical home of the eval/latent effect bits that
-  :mod:`repro.objects.effects` now re-exports;
+* :mod:`repro.analysis.effects` — the generalized effect pass (RP4xx)
+  over the eval/latent effect bits; ``Session(pure_views=True)``
+  enforces it through :func:`~repro.analysis.effects.check_views_pure`;
 * :mod:`repro.analysis.regions` — interprocedural footprints: the global
-  roots a program may read or write (RP5xx), the license for the
-  server's latch-free fast path;
+  roots a program may read or write (RP5xx), and their resolution
+  against a live heap;
 * :mod:`repro.analysis.workload` / :mod:`repro.analysis.partition` —
   whole-workload interference: static conflict graphs over named
   transaction programs, anomaly detectors (RP6xx) and the shard

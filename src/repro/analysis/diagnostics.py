@@ -94,7 +94,7 @@ RP502 = _register("RP502", Severity.INFO,
 RP601 = _register("RP601", Severity.WARNING,
                   "lost-update-prone read-modify-write pair")
 RP602 = _register("RP602", Severity.WARNING,
-                  "write-skew cycle among fast-path candidates")
+                  "write-skew cycle among write-disjoint programs")
 RP603 = _register("RP603", Severity.WARNING,
                   "⊤-footprint program serializes the workload")
 # -- compilation -----------------------------------------------------------

@@ -1,8 +1,8 @@
-"""The generalized effect pass (RP4xx) — eval/latent bits, now a lint pass.
+"""The generalized effect pass (RP4xx) — eval/latent bits, as a lint pass.
 
-This is the canonical home of the conservative effect analysis that used to
-live in :mod:`repro.objects.effects` (which now re-exports everything here,
-keeping its API).  Every expression gets two bits:
+This module is the conservative effect analysis behind both the RP4xx
+diagnostics and the paper's optional purity check for viewing functions
+(Section 3.1).  Every expression gets two bits:
 
 ``eval``
     evaluating the expression may mutate existing state (``update``,
@@ -28,8 +28,9 @@ On top of the bits, :func:`effect_pass` walks a program and reports:
     effects are observably reordered or repeated.
 
 ``Session(pure_views=True)`` enforcement is the same traversal with RP401
-and RP402 promoted to exceptions; see
-:func:`repro.objects.effects.check_views_pure`.
+and RP402 promoted to exceptions; see :func:`check_views_pure`.  Unknown
+*parameters* are assumed pure: the analysis checks what a view's own code
+can do, not what callers inject (DESIGN.md records this direction).
 """
 
 from __future__ import annotations
@@ -38,11 +39,13 @@ from typing import NamedTuple, Optional
 
 from ..core import terms as T
 from ..core.terms import free_vars
+from ..errors import TypeInferenceError
 from .diagnostics import DiagnosticSink
 
 __all__ = ["Effect", "PURE", "PurityEnv", "analyze_effect",
-           "expression_is_impure", "effect_pass",
-           "AS_VIEW_IMPURE_MSG", "include_view_impure_msg"]
+           "expression_is_impure", "effect_pass", "ImpureViewError",
+           "check_views_pure", "AS_VIEW_IMPURE_MSG",
+           "include_view_impure_msg"]
 
 
 class Effect(NamedTuple):
@@ -186,6 +189,26 @@ def effect_pass(term: T.Term, sink: DiagnosticSink,
     (a session's :class:`PurityEnv` snapshot).
     """
     _walk_effects(term, set(latent_names or ()), sink)
+
+
+class ImpureViewError(TypeInferenceError):
+    """A viewing function may mutate state (rejected under pure_views)."""
+
+
+def check_views_pure(term: T.Term, env: PurityEnv | None = None) -> None:
+    """Reject the program if any viewing function may mutate state.
+
+    Checks the view position of every ``as`` composition (rule (vcomp))
+    and of every class include clause; ``query`` functions and include
+    predicates are exempt.  Runs the RP4xx effect pass and promotes the
+    first RP401/RP402 finding to an :class:`ImpureViewError`.
+    """
+    env = env or PurityEnv()
+    sink = DiagnosticSink()
+    effect_pass(term, sink, env.snapshot())
+    for diag in sink:
+        if diag.code in ("RP401", "RP402"):
+            raise ImpureViewError(diag.message).with_span(diag.span)
 
 
 def _walk_effects(term: T.Term, latent_names: set[str],

@@ -7,10 +7,9 @@ programs is *statically single-shard* — every root a program may touch
 lives in one shard.  Single-shard programs of different shards are
 provably disjoint, so the partition reports how much of a workload
 could commit without ever conflicting (``repro-lint --workload``,
-:meth:`repro.lang.api.Session.explain_workload`).  The server does not
-consume it: its static fast path (:mod:`repro.server.interference`)
-makes the same disjointness decision per transaction against the live
-heap.
+:meth:`repro.lang.api.Session.explain_workload`).  It is a report: the
+server does not consume it, and runs every transaction under dynamic
+OCC.
 
 The derivation is two-phase:
 
@@ -405,7 +404,8 @@ def render_partition(plan: PartitionPlan, graph: ConflictGraph) -> str:
                      f"(roots {_fmt(p.roots)} {where})")
     for p in pure:
         lines.append(f"  rootless: {p.name} (touches no named state — "
-                     "fast anywhere)")
+                     "conflicts with nothing)")
     for p in unbounded:
-        lines.append(f"  unbounded: {p.name} (⊤ — always dynamic OCC)")
+        lines.append(f"  unbounded: {p.name} (⊤ — conflicts with every "
+                     "program)")
     return "\n".join(lines)

@@ -2,7 +2,7 @@
 
 The sharing pass (:mod:`repro.analysis.sharing`) answers a *local*
 question: which L-values can one function's result alias?  This module
-answers the *global* one the concurrency layer needs: which named state
+answers the *global* one a concurrency report needs: which named state
 can a whole program touch?  A program's **footprint** is a conservative
 summary
 
@@ -17,11 +17,13 @@ summary
   replacements (``insert``/``delete``).
 
 Names are *roots*: the summary is purely syntactic and cacheable per
-source text.  The server resolves roots against the live session (every
-store location and class extent reachable from each root) at admission
-time — see :mod:`repro.server.interference` — and unresolvable roots or
-a ⊤ write set simply fall back to dynamic OCC, so imprecision costs
-performance, never soundness.
+source text.  :func:`resolve_footprint` resolves the roots against a
+live session (every store location and class extent reachable from each
+root); the workload analysis (:mod:`repro.analysis.workload`) uses the
+resolution for its alias edges, and an unresolvable root or a ⊤ write
+set resolves to ⊤, so imprecision only ever adds conflicts.  The
+footprint is analysis output — a lint report and a workload report.
+The server does not read it: every transaction there runs dynamic OCC.
 
 Aliasing is tracked by a small abstract interpreter: each expression's
 abstract value is the set of global roots it may alias, plus — when the
@@ -50,6 +52,7 @@ from .effects import _effect
 __all__ = [
     "FootprintSummary", "term_footprint", "program_footprint",
     "regions_pass", "SharingTracer", "reachable_state",
+    "ResolvedFootprint", "resolve_footprint",
     "value_may_mutate", "class_extent_is_pure",
 ]
 
@@ -373,7 +376,7 @@ def program_footprint(src: str,
     reads and writes through ``x`` resolve to the root ``joe``, and a bare
     expression statement binds ``it`` exactly as ``Session.exec`` does.
     A program that fails to parse gets the ⊤ footprint (it would fail at
-    execution anyway; the caller falls back to dynamic validation).
+    execution anyway).
     """
     from ..objects.algebra import mk_lam
     from ..syntax import parser as P
@@ -452,8 +455,8 @@ def regions_pass(term: T.Term, sink: DiagnosticSink,
             "footprint is not statically bounded: "
             + "; ".join(fp.reasons),
             span,
-            notes=("the OCC server falls back to dynamic validation "
-                   "for this program",))
+            notes=("workload reports treat this program as conflicting "
+                   "with every other program",))
     else:
         sink.emit("RP501", fp.describe(), span)
 
@@ -553,6 +556,69 @@ def reachable_state(value) -> tuple[set[int], set[int]]:
         elif isinstance(v, VLval):
             stack.append(v.location)
     return locs, exts
+
+
+class ResolvedFootprint:
+    """A footprint resolved to concrete state atoms.
+
+    Atoms are ``("loc", location id)`` and ``("ext", class oid)``;
+    ``reads`` always includes ``writes``.  An *empty* footprint overlaps
+    nothing.
+    """
+
+    __slots__ = ("reads", "writes")
+
+    def __init__(self, reads: frozenset, writes: frozenset):
+        self.reads = reads
+        self.writes = writes
+
+    def overlaps(self, other: Optional["ResolvedFootprint"]) -> bool:
+        """Do the two footprints conflict?  ``None`` (⊤) overlaps all."""
+        if other is None:
+            return True
+        return bool(self.writes & (other.reads | other.writes)
+                    or other.writes & self.reads)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"ResolvedFootprint(reads={len(self.reads)}, "
+                f"writes={len(self.writes)})")
+
+
+def resolve_footprint(summary: Optional[FootprintSummary],
+                      session) -> Optional[ResolvedFootprint]:
+    """Resolve a static summary against a live session's heap.
+
+    Returns ``None`` (⊤) when the summary is missing, its write set is
+    unbounded, or any root name is not currently bound.  The result is a
+    snapshot of reachability at the time of the call.
+    """
+    if summary is None or summary.writes is None:
+        return None
+    frame = session._global_frame
+    atoms: dict = {}
+
+    def resolve(names) -> Optional[set]:
+        out: set = set()
+        for name in names:
+            got = atoms.get(name)
+            if got is None:
+                value = frame.get(name)
+                if value is None:
+                    return None  # unbound: don't know
+                locs, exts = reachable_state(value)
+                got = {("loc", i) for i in locs}
+                got.update(("ext", o) for o in exts)
+                atoms[name] = got
+            out |= got
+        return out
+
+    writes = resolve(summary.writes)
+    if writes is None:
+        return None
+    reads = resolve(summary.reads)
+    if reads is None:
+        return None
+    return ResolvedFootprint(frozenset(reads | writes), frozenset(writes))
 
 
 # ---------------------------------------------------------------------------

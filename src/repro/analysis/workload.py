@@ -11,7 +11,7 @@ certainly serializable without validation:
 * a *write-write* edge: both may write a common root;
 * a *read-write* edge: one may read a root the other may write;
 * a *⊤* edge: one program's write set is unbounded, so it conflicts
-  with everything (the server runs it under full dynamic OCC anyway).
+  with everything.
 
 Anomaly detectors run over the graph and report through the normal
 diagnostic machinery:
@@ -20,13 +20,12 @@ diagnostic machinery:
   read *and* write sets straddle another program's write set, the shape
   that loses an update under any non-validating scheduler (the OCC
   server retries it instead — at a throughput cost);
-* **RP602** — a write-skew cycle: fast-path candidates whose write sets
-  are pairwise disjoint but who read each other's writes in a cycle,
-  the classic snapshot-isolation anomaly — individually each pair looks
+* **RP602** — a write-skew cycle: programs whose write sets are
+  pairwise disjoint but who read each other's writes in a cycle, the
+  classic snapshot-isolation anomaly — individually each pair looks
   harmless, only the cycle is not serializable;
-* **RP603** — a ⊤-footprint program: statically overlaps every other
-  program, so while it is in flight nothing can hold the latch-free
-  fast path — it serializes the whole workload.
+* **RP603** — a ⊤-footprint program: it statically conflicts with every
+  other program in the workload.
 
 Edges are *root-name* level and purely static.  Distinct names can
 still reach shared state at run time (``Emp``'s extent contains ``joe``);
@@ -35,7 +34,8 @@ additionally resolved to its reachable state atoms and programs whose
 *resolved* footprints overlap get an **alias** edge — this is the form
 the soundness property test pins against the :class:`SharingTracer`,
 and the form :func:`repro.analysis.partition.partition_workload`
-consumes before deriving shards.
+consumes before deriving shards.  The graph is a report: the server
+does not read it, and runs every transaction under dynamic OCC.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional
 
 from .diagnostics import Diagnostic, DiagnosticSink
-from .regions import FootprintSummary, program_footprint
+from .regions import (FootprintSummary, program_footprint, reachable_state,
+                      resolve_footprint)
 
 __all__ = [
     "WorkloadProgram", "ConflictEdge", "ConflictGraph", "ambient_names",
@@ -72,7 +73,6 @@ def ambient_names(session=None) -> frozenset:
     """
     global _AMBIENT_CACHE
     if session is not None:
-        from .regions import reachable_state
         out = set()
         for name, value in session._global_frame.items():
             locs, exts = reachable_state(value)
@@ -233,7 +233,6 @@ def build_conflict_graph(programs: Mapping[str, str],
         summary = program_footprint(programs[name], latent_names)
         resolved = ()
         if session is not None:
-            from ..server.interference import resolve_footprint
             resolved = resolve_footprint(summary, session)
         nodes.append(WorkloadProgram(name, programs[name], summary,
                                      resolved, ambient))
@@ -276,7 +275,7 @@ def _lost_update_pairs(graph: ConflictGraph) -> list[tuple]:
 
 
 def _write_skew_cycles(graph: ConflictGraph) -> list[tuple[str, ...]]:
-    """Cycles of fast-path candidates reading each other's writes with
+    """Cycles of bounded programs reading each other's writes with
     pairwise-disjoint write sets (the write-skew shape).
 
     Returns each cycle once, rotated to start at its least name.
@@ -323,8 +322,7 @@ def workload_anomalies(graph: ConflictGraph,
             "RP601",
             f"programs '{a}' and '{b}' race on {_fmt(roots)}: a "
             "read-modify-write straddles the other's write set",
-            notes=("under OCC the loser retries; under a partitioned "
-                   "deployment keep these roots in one shard",))
+            notes=("under OCC the loser aborts and retries",))
     for cycle in _write_skew_cycles(graph):
         arrows = " -> ".join(cycle + (cycle[0],))
         detail = []
@@ -337,19 +335,18 @@ def workload_anomalies(graph: ConflictGraph,
         sink.emit(
             "RP602",
             f"write-skew cycle {arrows}: " + "; ".join(detail),
-            notes=("write sets are pairwise disjoint, so each program "
-                   "alone is a fast-path candidate — only the cycle is "
-                   "non-serializable without validation",))
+            notes=("write sets are pairwise disjoint, so no pair shares "
+                   "a write — only the cycle is non-serializable without "
+                   "read validation",))
     for p in graph.programs:
         if not p.bounded:
             why = "; ".join(p.summary.reasons) or "write set widened to ⊤"
             sink.emit(
                 "RP603",
-                f"program '{p.name}' has a ⊤ footprint ({why}): while it "
-                "is in flight no transaction can hold the latch-free "
-                "fast path",
-                notes=("the server runs it under dynamic OCC, and "
-                       "overlapping transactions wait for it",))
+                f"program '{p.name}' has a ⊤ footprint ({why}): it "
+                "statically conflicts with every program in the workload",
+                notes=("its conflicts show only at run time, through OCC "
+                       "validation",))
     return sink
 
 

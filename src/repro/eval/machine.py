@@ -375,8 +375,6 @@ class Machine:
         if t is not None:
             # May raise ConflictError — before any mutation.
             t.will_write_extent(cls)
-        elif store.write_hook is not None:
-            store.write_hook.will_write_extent(cls)
         if store.journaling:
             def undo(c=cls, o=cls.own, v=cls.version):
                 c.own = o
@@ -385,9 +383,6 @@ class Machine:
         old_own, old_version = cls.own, cls.version
         cls.version = store.next_stamp()
         cls.own = new_own
-        # Extent membership changed: state reachable from the class (and
-        # anything including it) may have grown.
-        store.reach_epoch += 1
         obs = store.observer
         if obs is not None:
             obs.extent_replaced(cls, old_own, old_version)

@@ -88,8 +88,8 @@ class Store:
     undoes them.
     """
 
-    __slots__ = ("allocations", "tracker", "write_hook", "observer",
-                 "reach_epoch", "_next_id", "_journal", "_depth", "_stamp")
+    __slots__ = ("allocations", "tracker", "observer", "_next_id",
+                 "_journal", "_depth", "_stamp")
 
     def __init__(self) -> None:
         self.allocations = 0
@@ -103,19 +103,6 @@ class Store:
         #: (must provide ``did_read``/``will_write`` and the ``_extent``
         #: variants); None outside a server transaction.
         self.tracker = None
-        #: Write-only variant of ``tracker``, installed for *fast-path*
-        #: transactions (statically proven disjoint — see
-        #: ``repro.server.interference``): sees writes for undo capture,
-        #: never sees reads, so reading costs nothing.  Mutually
-        #: exclusive with ``tracker``.
-        self.write_hook = None
-        #: Bumped whenever a mutation may *grow* the set of store state
-        #: reachable from some existing value: writing a non-leaf value
-        #: into a location, or rolling anything back.  Scalar writes
-        #: (ints, bools, strings, unit) leave it alone — they cannot link
-        #: new locations into any value graph.  The interference layer
-        #: keys its resolved-footprint cache on this epoch.
-        self.reach_epoch = 0
         #: Optional *change* observer (the query engine's index/view
         #: maintenance).  Unlike ``tracker`` it is permanent once
         #: installed, sees mutations *after* they happen, and must never
@@ -153,14 +140,10 @@ class Store:
             # May raise ConflictError (write-write conflict) — before any
             # mutation, so there is nothing to undo.
             t.will_write(location)
-        elif self.write_hook is not None:
-            self.write_hook.will_write(location)
         j = self._journal
         if j is not None:
             fire("journal.append")
             j.append((_WRITE, location, location.value, location.version))
-        if not getattr(value, "reach_atomic", False):
-            self.reach_epoch += 1
         location.version = self.next_stamp()
         location.value = value
         obs = self.observer
@@ -206,8 +189,6 @@ class Store:
         j = self._journal
         if j is None:
             raise RuntimeError("rollback without an open savepoint")
-        # Restored values may re-link state the post-write graph lacked.
-        self.reach_epoch += 1
         while len(j) > sp.index:
             entry = j.pop()
             tag = entry[0]

@@ -41,12 +41,6 @@ class Value:
 
     __slots__ = ()
 
-    #: True for leaf values (no reachable store state): storing one into
-    #: a location cannot *grow* what is reachable from any root, so the
-    #: interference layer's resolution cache survives such writes (see
-    #: ``Store.reach_epoch``).
-    reach_atomic = False
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         from ..syntax.pretty import pretty_value
         return pretty_value(self)
@@ -56,7 +50,6 @@ class VUnit(Value):
     """The unit value ``()``."""
 
     __slots__ = ()
-    reach_atomic = True
 
 
 UNIT_VALUE = VUnit()
@@ -64,7 +57,6 @@ UNIT_VALUE = VUnit()
 
 class VInt(Value):
     __slots__ = ("value",)
-    reach_atomic = True
 
     def __init__(self, value: int):
         self.value = value
@@ -72,7 +64,6 @@ class VInt(Value):
 
 class VBool(Value):
     __slots__ = ("value",)
-    reach_atomic = True
 
     def __init__(self, value: bool):
         self.value = value
@@ -84,7 +75,6 @@ FALSE = VBool(False)
 
 class VString(Value):
     __slots__ = ("value",)
-    reach_atomic = True
 
     def __init__(self, value: str):
         self.value = value

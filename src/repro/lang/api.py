@@ -74,7 +74,7 @@ class Session:
     def __init__(self, this_year: int = 1994, load_prelude: bool = True,
                  pure_views: bool = False, object_union: str = "choose",
                  optimize: bool = False, compile: str = "auto"):
-        from ..objects.effects import PurityEnv
+        from ..analysis.effects import PurityEnv
         if compile not in ("auto", "off"):
             raise ValueError("compile must be 'auto' or 'off'")
         self.compile_mode = compile
@@ -194,7 +194,7 @@ class Session:
                 with record_type_annotations() as annotations:
                     infer(term, self.type_env, level=1)
                 if self.pure_views:
-                    from ..objects.effects import check_views_pure
+                    from ..analysis.effects import check_views_pure
                     check_views_pure(term, self.purity)
             return self._eval_planned(term, annotations)
 
@@ -223,9 +223,9 @@ class Session:
         term = (self.parse(src_or_term)
                 if isinstance(src_or_term, str) else src_or_term)
         scheme = infer_scheme(term, self.type_env)
-        from ..objects.effects import expression_is_impure
+        from ..analysis.effects import expression_is_impure
         if self.pure_views:
-            from ..objects.effects import check_views_pure
+            from ..analysis.effects import check_views_pure
             check_views_pure(term, self.purity)
         value = self.machine.eval(term, self.runtime_env)
         self._install(name, scheme, value)
@@ -330,7 +330,7 @@ class Session:
                     with record_type_annotations() as annotations:
                         scheme = infer_scheme(term, self.type_env)
                     if self.pure_views:
-                        from ..objects.effects import check_views_pure
+                        from ..analysis.effects import check_views_pure
                         check_views_pure(term, self.purity)
                     last = self._eval_planned(term, annotations)
                     self._install("it", scheme, last)
@@ -358,7 +358,7 @@ class Session:
             from ..eval.values import VRecord
             assert isinstance(record, VRecord)
             self._install(n, TypeScheme.mono(field_type), record.read(n))
-        from ..objects.effects import expression_is_impure
+        from ..analysis.effects import expression_is_impure
         for b in bindings:
             self.purity.mark(
                 b.name,
@@ -408,10 +408,10 @@ class Session:
 
         The footprint (:mod:`repro.analysis.regions`) is the set of
         session-bound names whose reachable state the program may read
-        or write — the fact the server's OCC fast path admits
-        transactions on.  ``writes: ⊤`` means the analysis could not
-        bound the writes and the server would fall back to dynamic
-        validation.  Nothing is evaluated.
+        or write — what :meth:`explain_workload` builds its conflict
+        graph from.  ``writes: ⊤`` means the analysis could not bound
+        the writes, so the program conflicts with every other one.
+        Nothing is evaluated.
         """
         from ..analysis.regions import program_footprint
         return program_footprint(src, self.purity.snapshot()).render()
@@ -462,7 +462,7 @@ class Session:
             with record_type_annotations() as annotations:
                 scheme = infer_scheme(term, self.type_env)
             if self.pure_views:
-                from ..objects.effects import check_views_pure
+                from ..analysis.effects import check_views_pure
                 check_views_pure(term, self.purity)
         return PreparedQuery(self, term, scheme, annotations)
 

@@ -50,7 +50,7 @@ class SessionState:
         it (closures capture env nodes, not copies), so it is cleared and
         refilled rather than replaced.
         """
-        from ..objects.effects import PurityEnv
+        from ..analysis.effects import PurityEnv
         session.type_env = self.type_env
         session._global_frame.clear()
         session._global_frame.update(self.frame)

@@ -85,16 +85,14 @@ class OCCTransaction:
     """
 
     __slots__ = ("txn_id", "latches", "reads", "extent_reads", "writes",
-                 "extent_writes", "fast")
+                 "extent_writes")
 
-    def __init__(self, latches: LatchTable, fast: bool = False):
+    #: Always False; kept because benchmarks/e2e/tracing.py reads it.
+    fast = False
+
+    def __init__(self, latches: LatchTable):
         self.txn_id = next(_txn_ids)
         self.latches = latches
-        # A *fast* transaction was statically proven disjoint from every
-        # in-flight transaction (see repro.server.interference): it takes
-        # no latches, records no reads, and skips backward validation.
-        # Only undo information is kept, for rollback on failure.
-        self.fast = fast
         # id(loc) -> (loc, first version seen); id() keys are safe because
         # the tuple keeps the object alive for the transaction's lifetime.
         self.reads: dict[int, tuple["Location", int]] = {}
@@ -112,12 +110,6 @@ class OCCTransaction:
 
     def will_write(self, loc: "Location") -> None:
         k = id(loc)
-        if self.fast:
-            # Disjointness was proven at admission: no latch, no stale
-            # check (nobody else can have written this location).
-            if k not in self.writes:
-                self.writes[k] = (loc, loc.value, loc.version)
-            return
         self.latches.acquire(loc, self, f"location {loc.id}")
         if k not in self.writes:
             # Read-then-write upgrade: the latch only protects from *now*
@@ -139,10 +131,6 @@ class OCCTransaction:
 
     def will_write_extent(self, cls: "VClass") -> None:
         k = id(cls)
-        if self.fast:
-            if k not in self.extent_writes:
-                self.extent_writes[k] = (cls, cls.own, cls.version)
-            return
         self.latches.acquire(cls, self, f"class extent #{cls.oid}")
         if k not in self.extent_writes:
             seen = self.extent_reads.get(k)
@@ -159,8 +147,6 @@ class OCCTransaction:
         """Check the read set against current versions (backward
         validation).  Locations this transaction itself wrote are exempt:
         their latch guarantees nobody else touched them."""
-        if self.fast:
-            return  # admission proved no concurrent writer overlaps us
         for k, (loc, version) in self.reads.items():
             if k in self.writes:
                 continue
@@ -180,8 +166,7 @@ class OCCTransaction:
 
     def finalize(self) -> None:
         """Publish: drop undo information and release every latch."""
-        if not self.fast:  # a fast transaction never acquired any
-            self.latches.release_all(self)
+        self.latches.release_all(self)
         self.writes.clear()
         self.extent_writes.clear()
 

@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import itertools
 import json
 import struct
 import threading
@@ -80,7 +79,6 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from ..analysis.regions import FootprintSummary
 from ..errors import (BudgetExceededError, ConflictError, FrameTooLargeError,
                       OverloadedError, ProtocolError, ReadOnlyError)
 from ..runtime.budget import Budget
@@ -113,8 +111,6 @@ DEFAULT_MAX_FRAME = 1 << 20
 ONESHOT_OPS = ("exec", "eval", "query", "extent", "update", "insert",
                "delete", "explain")
 MUTATING_OPS = frozenset({"exec", "update", "insert", "delete"})
-
-_wire_seq = itertools.count(1)
 
 
 # -- framing ----------------------------------------------------------------
@@ -199,23 +195,6 @@ def _apply_stmt(txn: ClientTransaction, stmt: dict):
     raise ProtocolError(f"unknown statement operation '{op}'")
 
 
-def _stmt_footprint(stmt: dict):
-    """Static-footprint evidence for a one-shot request, mirroring the
-    in-process :class:`~repro.server.service.ClientSession` helpers, so
-    remote source-text requests stay eligible for the latch-free fast
-    path (the server re-derives and re-checks the summary itself —
-    nothing here trusts the client)."""
-    op = stmt.get("op")
-    if op in ("exec", "eval") and isinstance(stmt.get("src"), str):
-        return ("src", stmt["src"])
-    if op == "extent" and isinstance(stmt.get("class"), str):
-        return FootprintSummary(frozenset([stmt["class"]]), frozenset())
-    if op == "update" and isinstance(stmt.get("object"), str):
-        name = stmt["object"]
-        return FootprintSummary(frozenset([name]), frozenset([name]))
-    return None
-
-
 def error_payload(exc: BaseException) -> dict:
     """The structured error object of an error reply frame."""
     retryable = isinstance(exc, (ConflictError, OverloadedError,
@@ -276,17 +255,11 @@ class ProtocolStats(ServerStats):
 
 
 class _WireTxn:
-    """One interactive transaction, bound to one connection.
+    """One interactive transaction, bound to one connection."""
 
-    ``seq`` doubles as the interference-table key; the object itself is
-    passed where :meth:`Server._commit`/:meth:`Server._rollback` expect
-    a request (they only read ``.seq``).
-    """
+    __slots__ = ("txn", "handle", "state")
 
-    __slots__ = ("seq", "txn", "handle", "state")
-
-    def __init__(self, seq, txn: OCCTransaction, handle: ClientTransaction):
-        self.seq = seq
+    def __init__(self, txn: OCCTransaction, handle: ClientTransaction):
         self.txn = txn
         self.handle = handle
         self.state = "open"  # open | committed | aborted
@@ -697,8 +670,7 @@ class ProtocolServer:
         timeout = (float(deadline) + 1.0 if deadline is not None
                    else self.config.default_timeout)
         return self.server.call(lambda txn: _apply_stmt(txn, msg),
-                                budget=budget, timeout=timeout,
-                                footprint=_stmt_footprint(msg))
+                                budget=budget, timeout=timeout)
 
     def _run_txn_step(self, conn: _Conn, msg: dict, arrival: float):
         op = msg["op"]
@@ -708,18 +680,9 @@ class ProtocolServer:
                 raise ProtocolError("a transaction is already open on this "
                                     "connection")
             budget = self._budget_for(msg, arrival)
-            seq = ("wire", next(_wire_seq))
             server.stats.incr("submitted")
-            with server._lock:
-                # A wire transaction's future statements are unknown, so
-                # it registers as ⊤: nothing overlapping may be licensed
-                # onto the latch-free fast path while it runs.  This may
-                # raise a retriable ConflictError against an in-flight
-                # fast transaction — the client re-begins after backoff.
-                server._interference.admit(seq, None)
             txn = OCCTransaction(server._latches)
-            conn.wtxn = _WireTxn(seq, txn,
-                                 ClientTransaction(server, txn, budget))
+            conn.wtxn = _WireTxn(txn, ClientTransaction(server, txn, budget))
             conn.last_txn_activity = time.monotonic()
             self.stats.incr("txns_begun")
             return {"txn": txn.txn_id}
@@ -750,7 +713,7 @@ class ProtocolServer:
                 raise
         if op == "txn.commit":
             try:
-                server._commit(wtxn.txn, wtxn.handle, wtxn)
+                server._commit(wtxn.txn, wtxn.handle)
             except BaseException as exc:
                 if isinstance(exc, ConflictError):
                     server.stats.incr("conflicts")
@@ -766,7 +729,7 @@ class ProtocolServer:
         raise ProtocolError(f"unknown transaction operation '{op}'")
 
     def _txn_rollback(self, conn: _Conn, wtxn: _WireTxn) -> None:
-        self.server._rollback(wtxn.txn, wtxn.handle, wtxn)
+        self.server._rollback(wtxn.txn, wtxn.handle)
         wtxn.handle._finished = True
         wtxn.state = "aborted"
         conn.wtxn = None

@@ -9,9 +9,11 @@ robustness layer:
   catalog lock — but a client *transaction* spans many statements, and
   the lock is released between them, so transactions genuinely
   interleave;
-* interference between interleaved transactions is detected by the OCC
-  layer (:mod:`repro.server.occ`) over the store's version stamps and
-  surfaced as a recoverable :class:`~repro.errors.ConflictError`;
+* every transaction runs dynamic OCC (:mod:`repro.server.occ`): reads
+  are tracked against the store's version stamps, writes take latches,
+  and commit validates the read set, so interference between
+  interleaved transactions surfaces as a recoverable
+  :class:`~repro.errors.ConflictError`;
 * conflicts are retried with jittered exponential backoff
   (:mod:`repro.server.retry`);
 * a bounded admission queue sheds load
@@ -20,9 +22,6 @@ robustness layer:
   wedging on a dead disk (:mod:`repro.server.admission`);
 * dead workers are respawned and their in-flight request re-queued, so a
   worker crash is invisible to clients;
-* transactions whose static footprints are provably disjoint from every
-  in-flight one commit on a latch-free fast path
-  (:mod:`repro.server.interference`); the rest run dynamic OCC;
 * on startup, a WAL path is recovered through the doctor
   (:mod:`repro.server.recover`) before the first request is admitted.
 
@@ -43,13 +42,13 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..analysis.regions import FootprintSummary, program_footprint
+# Unused: kept because benchmarks/e2e/tracing.py patches both names here.
+from ..analysis.regions import program_footprint, resolve_footprint  # noqa: F401
 from ..db.catalog import Catalog
 from ..errors import ConflictError, OverloadedError, ReadOnlyError
 from ..runtime.budget import Budget
 from ..runtime.faults import fire
 from .admission import AdmissionQueue, CircuitBreaker
-from .interference import InterferenceTable, resolve_footprint
 from .occ import LatchTable, OCCTransaction
 from .recover import RecoveryReport, recover
 from .retry import RetryPolicy
@@ -71,10 +70,6 @@ class ServerConfig:
     breaker_cooldown: float = 0.5
     #: How often idle workers wake to check for shutdown (seconds).
     poll_interval: float = 0.05
-    #: Admit statically-disjoint transactions on the latch-free fast
-    #: path (see repro.server.interference).  False restores the
-    #: pre-analysis behavior: every transaction runs full dynamic OCC.
-    static_interference: bool = True
 
 
 class ServerStats:
@@ -90,7 +85,7 @@ class ServerStats:
 
     FIELDS = ("submitted", "committed", "conflicts", "retries", "shed",
               "failed", "read_only_rejected", "worker_deaths",
-              "wal_failures", "fast_commits", "interference_blocked")
+              "wal_failures")
 
     #: Ring-buffer capacity for service-time samples.
     SERVICE_SAMPLES = 2048
@@ -141,17 +136,13 @@ class ServerStats:
 class _Request:
     """One submitted transaction and its completion slot."""
 
-    __slots__ = ("seq", "fn", "budget", "footprint", "done", "result",
-                 "error", "abandoned")
+    __slots__ = ("seq", "fn", "budget", "done", "result", "error",
+                 "abandoned")
 
-    def __init__(self, fn, budget: Budget | None, footprint=None):
+    def __init__(self, fn, budget: Budget | None):
         self.seq = next(_request_ids)
         self.fn = fn
         self.budget = budget
-        # Static footprint evidence for fast-path admission: None (no
-        # evidence — opaque Python body), ("src", program) to summarize
-        # server-side, or a ready FootprintSummary.
-        self.footprint = footprint
         self.done = threading.Event()
         self.result = None
         self.error: BaseException | None = None
@@ -216,12 +207,7 @@ class ClientTransaction:
         with server._lock:
             session = server.session
             store = session.machine.store
-            if self._txn.fast:
-                # Fast path: reads are untracked (free); writes still
-                # pass through for undo capture.
-                store.write_hook = self._txn
-            else:
-                store.tracker = self._txn
+            store.tracker = self._txn
             server.catalog._log_sink = self._wal_buffer
             try:
                 if mutating:
@@ -237,7 +223,6 @@ class ClientTransaction:
                         return run(session)
             finally:
                 store.tracker = None
-                store.write_hook = None
                 server.catalog._log_sink = None
 
     def eval_py(self, src: str):
@@ -323,49 +308,37 @@ class ClientSession:
         self._server = server
 
     def run(self, fn, budget: Budget | None = None,
-            timeout: float | None = None, footprint=None):
+            timeout: float | None = None):
         """Run ``fn(txn)`` as one retried, atomic transaction.
 
         ``fn`` must be re-runnable: on conflict it is called again from
         scratch against a rolled-back view of the catalog.  Returns
         ``fn``'s result once the transaction commits.
-
-        A Python-callable body is opaque to the static footprint
-        analysis, so it always runs full dynamic OCC; the one-shot
-        helpers below supply footprint evidence and are eligible for
-        the fast path.
         """
-        return self._server.call(fn, budget=budget, timeout=timeout,
-                                 footprint=footprint)
+        return self._server.call(fn, budget=budget, timeout=timeout)
 
     def exec(self, src: str, budget: Budget | None = None,
              timeout: float | None = None):
         """One-shot write transaction around a single program."""
         return self.run(lambda txn: txn.exec(src), budget=budget,
-                        timeout=timeout, footprint=("src", src))
+                        timeout=timeout)
 
     def eval_py(self, src: str, budget: Budget | None = None,
                 timeout: float | None = None):
         """One-shot read transaction around a single expression."""
         return self.run(lambda txn: txn.eval_py(src), budget=budget,
-                        timeout=timeout, footprint=("src", src))
+                        timeout=timeout)
 
     def update_object(self, name: str, label: str, value,
                       budget: Budget | None = None,
                       timeout: float | None = None) -> None:
-        # The catalog helper only ever reads and writes the named
-        # object, so its footprint needs no program analysis.
         self.run(lambda txn: txn.update_object(name, label, value),
-                 budget=budget, timeout=timeout,
-                 footprint=FootprintSummary(frozenset([name]),
-                                            frozenset([name])))
+                 budget=budget, timeout=timeout)
 
     def extent(self, class_name: str, budget: Budget | None = None,
                timeout: float | None = None) -> list[dict]:
         return self.run(lambda txn: txn.extent(class_name), budget=budget,
-                        timeout=timeout,
-                        footprint=FootprintSummary(frozenset([class_name]),
-                                                   frozenset()))
+                        timeout=timeout)
 
 
 class Server:
@@ -407,14 +380,6 @@ class Server:
         self.session = catalog.session
         self._lock = catalog.lock
         self._latches = LatchTable()
-        self._interference = InterferenceTable()
-        # Footprint summaries per (source, purity snapshot): a summary
-        # computed while a name was pure must not be reused after the
-        # name is rebound to something impure.  Only _admit reads it,
-        # under the catalog lock.
-        self._summaries: dict = {}
-        # Resolved footprints, epoch-validated (see resolve_footprint).
-        self._resolved: dict = {}
         self._queue = AdmissionQueue(self.config.queue_size)
         self._breaker = CircuitBreaker(self.config.breaker_threshold,
                                        self.config.breaker_cooldown)
@@ -431,8 +396,7 @@ class Server:
         """A new client handle (cheap; one per client thread is idiomatic)."""
         return ClientSession(self)
 
-    def submit(self, fn, budget: Budget | None = None,
-               footprint=None) -> _Request:
+    def submit(self, fn, budget: Budget | None = None) -> _Request:
         """Admit a transaction; returns immediately with its request.
 
         Raises :class:`~repro.errors.OverloadedError` (shed load) when
@@ -441,7 +405,7 @@ class Server:
         if self._stop.is_set():
             raise RuntimeError("server is closed")
         self.stats.incr("submitted")
-        req = _Request(fn, budget, footprint)
+        req = _Request(fn, budget)
         if budget is not None and not budget.enqueued:
             # The wire protocol anchors at frame receipt; anchor here
             # only for direct in-process submissions.
@@ -470,11 +434,9 @@ class Server:
         return req.result
 
     def call(self, fn, budget: Budget | None = None,
-             timeout: float | None = None, footprint=None):
+             timeout: float | None = None):
         """``submit`` + ``wait`` in one step."""
-        return self.wait(self.submit(fn, budget=budget,
-                                     footprint=footprint),
-                         timeout=timeout)
+        return self.wait(self.submit(fn, budget=budget), timeout=timeout)
 
     def execute_exclusive(self, fn):
         """Run ``fn(catalog)`` serially, excluding every transaction.
@@ -609,18 +571,13 @@ class Server:
         rng = random.Random(req.seq)
         attempt = 0
         while True:
-            txn = handle = None
+            txn = OCCTransaction(self._latches)
+            handle = ClientTransaction(self, txn, budget)
             try:
-                # Admission may block before anything executes (an
-                # in-flight fast-path transaction overlaps us); that
-                # ConflictError retries like any other.
-                txn = OCCTransaction(self._latches, fast=self._admit(req))
-                handle = ClientTransaction(self, txn, budget)
                 result = req.fn(handle)
-                self._commit(txn, handle, req)
+                self._commit(txn, handle)
             except BaseException as exc:
-                if txn is not None:
-                    self._rollback(txn, handle, req)
+                self._rollback(txn, handle)
                 if isinstance(exc, ConflictError):
                     self.stats.incr("conflicts")
                 if (policy.is_retriable(exc)
@@ -636,54 +593,11 @@ class Server:
                 return
             handle._finished = True
             self.stats.incr("committed")
-            if txn.fast:
-                self.stats.incr("fast_commits")
             req.finish(result)
             return
 
-    # -- static interference admission --------------------------------------
-
-    def _admit(self, req: _Request) -> bool:
-        """Register this attempt's footprint; True licenses the fast path.
-
-        Raises a retriable :class:`ConflictError` when the footprint
-        overlaps an in-flight fast transaction (whose safety argument
-        assumes nothing overlapping runs beside it).
-        """
-        if not self.config.static_interference:
-            return False
-        with self._lock:
-            fp = resolve_footprint(self._summary_of(req), self.session,
-                                   self._resolved)
-            try:
-                return self._interference.admit(req.seq, fp)
-            except ConflictError:
-                self.stats.incr("interference_blocked")
-                raise
-
-    def _summary_of(self, req: _Request) -> FootprintSummary | None:
-        spec = req.footprint
-        if spec is None:
-            return None
-        if isinstance(spec, FootprintSummary):
-            return spec
-        return self._summarize(spec[1])
-
-    def _summarize(self, src: str) -> FootprintSummary:
-        # Keyed by the purity snapshot too: a summary computed while a
-        # name was pure is unsound once the name is rebound impure.
-        latent = frozenset(self.session.purity.snapshot())
-        key = (src, latent)
-        hit = self._summaries.get(key)
-        if hit is None:
-            hit = program_footprint(src, set(latent))
-            if len(self._summaries) >= 256:
-                self._summaries.clear()
-            self._summaries[key] = hit
-        return hit
-
-    def _commit(self, txn: OCCTransaction, handle: ClientTransaction,
-                req: _Request | None = None) -> None:
+    def _commit(self, txn: OCCTransaction,
+                handle: ClientTransaction) -> None:
         """Validate, flush the WAL, publish — all under the catalog lock."""
         with self._lock:
             fire("server.conflict")
@@ -696,8 +610,6 @@ class Server:
                     self.stats.incr("wal_failures")
                     raise
             txn.finalize()
-            if req is not None:
-                self._interference.release(req.seq)
 
     def _flush_wal(self, buffer: list[tuple[str, dict]]) -> None:
         """Group-commit the transaction's records as one WAL append."""
@@ -710,18 +622,11 @@ class Server:
                                 for op, args in buffer]})
 
     def _rollback(self, txn: OCCTransaction,
-                  handle: ClientTransaction | None = None,
-                  req: _Request | None = None) -> None:
+                  handle: ClientTransaction) -> None:
         with self._lock:
             txn.rollback()
-            # The restore bypasses Store.write: invalidate resolved
-            # footprints, since restored values may re-link state.
-            self.session.machine.store.reach_epoch += 1
-            if handle is not None:
-                for class_name, old_own in reversed(handle._meta_undo):
-                    spec = self.catalog.classes.get(class_name)
-                    if spec is not None:
-                        spec.own = list(old_own)
-                handle._meta_undo.clear()
-            if req is not None:
-                self._interference.release(req.seq)
+            for class_name, old_own in reversed(handle._meta_undo):
+                spec = self.catalog.classes.get(class_name)
+                if spec is not None:
+                    spec.own = list(old_own)
+            handle._meta_undo.clear()

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.analysis.diagnostics import DiagnosticSink
-from repro.analysis.effects import effect_pass
-from repro.objects.effects import ImpureViewError, check_views_pure
+from repro.analysis.effects import (ImpureViewError, check_views_pure,
+                                   effect_pass)
 from repro.syntax.parser import parse_expression
 
 

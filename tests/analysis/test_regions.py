@@ -4,9 +4,11 @@ import pytest
 
 from repro.analysis.diagnostics import DiagnosticSink
 from repro.analysis.engine import lint_source
-from repro.analysis.regions import (FootprintSummary, class_extent_is_pure,
+from repro.analysis.regions import (FootprintSummary, ResolvedFootprint,
+                                    SharingTracer, class_extent_is_pure,
                                     program_footprint, reachable_state,
-                                    term_footprint, value_may_mutate)
+                                    resolve_footprint, term_footprint,
+                                    value_may_mutate)
 from repro.db.catalog import Catalog
 from repro.lang.api import Session
 from repro.syntax.parser import parse_expression
@@ -157,7 +159,8 @@ def test_regions_pass_emits_rp501_and_rp502():
                         passes=["regions"]).diagnostics
     assert [d.code for d in diags] == ["RP502"]
     assert "not statically bounded" in diags[0].message
-    assert any("dynamic validation" in n for n in diags[0].notes)
+    assert any("conflicting with every other program" in n
+               for n in diags[0].notes)
 
 
 def test_session_explain_footprint():
@@ -215,3 +218,87 @@ def test_class_extent_is_pure():
            "(query(fn v => update(v, N, 0), o)) end")
     assert class_extent_is_pure(s._global_frame["Ok"], {})
     assert not class_extent_is_pure(s._global_frame["Bad"], {})
+
+
+# ---------------------------------------------------------------------------
+# Resolution against the live heap (the workload alias edges)
+# ---------------------------------------------------------------------------
+
+def _fp(reads=(), writes=()):
+    w = frozenset(writes)
+    return ResolvedFootprint(frozenset(reads) | w, w)
+
+
+def test_overlap_semantics():
+    a = _fp(reads=[("loc", 1)], writes=[("loc", 2)])
+    b = _fp(reads=[("loc", 2)])            # reads what a writes
+    c = _fp(reads=[("loc", 9)], writes=[("loc", 1)])  # writes what a reads
+    d = _fp(reads=[("loc", 7)], writes=[("loc", 8)])  # disjoint
+    assert a.overlaps(b) and b.overlaps(a)
+    assert a.overlaps(c) and c.overlaps(a)
+    assert not a.overlaps(d) and not d.overlaps(a)
+    # ⊤ overlaps everything; the empty footprint overlaps nothing.
+    assert a.overlaps(None)
+    empty = _fp()
+    assert not empty.overlaps(a) and not a.overlaps(empty)
+    assert not empty.overlaps(empty)
+
+
+def test_resolve_footprint_against_live_session():
+    cat = Catalog()
+    cat.new_object("joe", Name="Joe", mutable={"Salary": 100})
+    cat.new_object("amy", Name="Amy", mutable={"Salary": 200})
+    session = cat.session
+
+    joe = resolve_footprint(
+        FootprintSummary(frozenset(["joe"]), frozenset(["joe"])), session)
+    assert joe is not None and joe.writes and joe.writes <= joe.reads
+
+    disjoint = resolve_footprint(
+        FootprintSummary(frozenset(["amy"]), frozenset(["amy"])), session)
+    assert disjoint is not None and not joe.overlaps(disjoint)
+
+    # ⊤ write set, missing summary, unbound root: all resolve to None.
+    assert resolve_footprint(
+        FootprintSummary(frozenset(["joe"]), None), session) is None
+    assert resolve_footprint(None, session) is None
+    assert resolve_footprint(
+        FootprintSummary(frozenset(["nope"]), frozenset()), session) is None
+
+    pure = resolve_footprint(
+        FootprintSummary(frozenset(), frozenset()), session)
+    assert pure is not None and not pure.overlaps(joe)
+
+
+# ---------------------------------------------------------------------------
+# The machine's dead-include skip shrinks the traced read set
+# ---------------------------------------------------------------------------
+
+def test_dead_include_skips_source_extent_reads():
+    cat = Catalog()
+    cat.new_object("a0", Name="A0", mutable={"N": 1})
+    cat.new_object("b0", Name="B0", mutable={"N": 2})
+    cat.define_class("B", own=["b0"])
+    session = cat.session
+    session.exec("val Dead = class {a0} includes B "
+                 "as fn x => x where fn o => false end")
+    session.exec("val Live = class {a0} includes B "
+                 "as fn x => x where fn o => true end")
+    b_oid = session._global_frame["B"].oid
+
+    def traced_extent(name):
+        tracer = SharingTracer()
+        store = session.machine.store
+        store.tracker = tracer
+        try:
+            session.eval_py(f"c-query(fn S => size(S), {name})")
+        finally:
+            store.tracker = None
+        return tracer
+
+    dead = traced_extent("Dead")
+    live = traced_extent("Live")
+    # The dead clause is skipped outright: B's extent is never consulted.
+    assert b_oid not in dead.read_extents
+    assert b_oid in live.read_extents
+    assert len(dead.read_extents) < len(live.read_extents)

@@ -53,8 +53,8 @@ def test_golden_unbounded_report(tmp_path):
         "  1 | c-query(fn S => map(fn x => query(fn v => "
         "update(v, Salary, 0), x), S), Emp)\n"
         "    | " + "^" * 76 + "\n"
-        "  note: the OCC server falls back to dynamic validation for "
-        "this program"
+        "  note: workload reports treat this program as conflicting with "
+        "every other program"
     )
 
 

@@ -7,9 +7,9 @@ session *before* execution, then run the program under a
 touched is either covered by the resolved footprint or was freshly
 allocated by the program itself (fresh state is private until the
 transaction commits, so it cannot interfere).  An unbounded (⊤) summary
-is trivially sound — the server falls back to dynamic OCC for it — but
-the generator leans on bounded shapes so the interesting direction gets
-real coverage.
+is trivially sound — it claims every state atom — but the generator
+leans on bounded shapes so the interesting direction gets real
+coverage.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.regions import SharingTracer, program_footprint
+from repro.analysis.regions import (SharingTracer, program_footprint,
+                                    resolve_footprint)
 from repro.db.catalog import Catalog
 from repro.eval.values import VRecord
-from repro.server.interference import resolve_footprint
 
 _NAMES = ["joe", "amy", "bob"]
 

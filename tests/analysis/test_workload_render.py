@@ -66,7 +66,7 @@ def test_golden_partition_report():
         "  shard 0: roots {amy, joe} — programs: audit, raise_amy, "
         "raise_joe\n"
         "  shard 1: roots {bob} — programs: read_bob\n"
-        "  unbounded: rebuild (⊤ — always dynamic OCC)"
+        "  unbounded: rebuild (⊤ — conflicts with every program)"
     )
 
 
@@ -78,9 +78,8 @@ def test_golden_anomaly_lines():
         "RP601 warning: programs 'audit' and 'raise_joe' race on {joe}: "
         "a read-modify-write straddles the other's write set",
         "RP603 warning: program 'rebuild' has a ⊤ footprint (an applied "
-        "function is not statically known and may mutate state): while "
-        "it is in flight no transaction can hold the latch-free fast "
-        "path",
+        "function is not statically known and may mutate state): it "
+        "statically conflicts with every program in the workload",
     ]
 
 

@@ -44,7 +44,7 @@ def test_prepared_query_sees_later_mutations(s):
 
 
 def test_prepare_respects_pure_views():
-    from repro.objects.effects import ImpureViewError
+    from repro.analysis.effects import ImpureViewError
     s = Session(pure_views=True)
     s.exec("val o = IDView([A := 1])")
     with pytest.raises(ImpureViewError):

@@ -5,7 +5,7 @@ state of the raw object")."""
 import pytest
 
 from repro import Session
-from repro.objects.effects import (ImpureViewError, PurityEnv,
+from repro.analysis.effects import (ImpureViewError, PurityEnv,
                                    expression_is_impure)
 from repro.syntax.parser import parse_expression
 

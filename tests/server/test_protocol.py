@@ -228,16 +228,6 @@ def test_wire_transactions_conflict_and_retry(stack):
     assert cat.extent("Emp")[0]["Salary"] == 102
 
 
-def test_wire_transaction_blocks_fast_path_licensing(stack):
-    # An open wire transaction registers as ⊤ in the interference table:
-    # nothing may be licensed onto the latch-free fast path beside it.
-    _, server, _, client = stack
-    with client.transaction() as txn:
-        txn.update_object("joe", "Salary", 1)
-        assert len(server._interference) == 1
-    assert len(server._interference) == 0
-
-
 # -- exactly-once dedup -----------------------------------------------------
 
 def test_mutating_request_with_same_id_replays(stack):

@@ -10,6 +10,7 @@ from repro.db.catalog import Catalog
 from repro.errors import (ConflictError, EvalError, OverloadedError,
                           ReadOnlyError, ReproError)
 from repro.server import Server, ServerConfig
+from repro.syntax import parser
 
 
 @pytest.fixture()
@@ -250,3 +251,88 @@ def test_errors_inside_transactions_are_repro_errors(server):
         client.exec("query(fn x => x.NoSuchField, joe)")
     # The session survives arbitrary client errors.
     assert client.eval_py("query(fn x => x.Salary, joe)") == 100
+
+
+def test_contended_counter_never_loses_updates():
+    """8 threads of one-shot read-modify-writes on one counter: under
+    dynamic OCC the loser of each race aborts and retries, and the
+    counter ends equal to the number of increments reported as
+    committed."""
+    cat = Catalog()
+    cat.new_object("ctr", Name="counter", mutable={"Count": 0})
+    threads, per = 8, 12
+    successes = []
+    with Server(cat) as server:
+        def worker():
+            client = server.connect()
+            for _ in range(per):
+                try:
+                    client.exec(
+                        "query(fn x => update(x, Count, x.Count + 1), ctr)")
+                except ConflictError:
+                    continue
+                successes.append(1)
+        pool = [threading.Thread(target=worker) for _ in range(threads)]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join()
+        final = server.connect().eval_py("query(fn x => x.Count, ctr)")
+        stats = server.stats.snapshot()
+    assert final == len(successes)
+    assert final > 0
+    assert stats["committed"] == len(successes) + 1  # + the final read
+
+
+def test_oneshot_exec_beside_inflight_writer_reconciles():
+    """A one-shot ``exec`` of the counter runs while a Python-body
+    read-modify-write of the same counter is in flight; whichever
+    commits, the total reconciles."""
+    cat = Catalog()
+    cat.new_object("ctr", Name="counter", mutable={"Count": 0})
+    with Server(cat) as server:
+        client = server.connect()
+        entered = threading.Event()
+        release = threading.Event()
+
+        def slow_writer(txn):
+            count = txn.eval_py("query(fn x => x.Count, ctr)")
+            entered.set()
+            release.wait(10)
+            txn.update_object("ctr", "Count", count + 1)
+
+        req = server.submit(slow_writer)
+        assert entered.wait(10)
+        try:
+            client.exec("query(fn x => update(x, Count, x.Count + 1), ctr)")
+            exec_won = 1
+        except ConflictError:
+            exec_won = 0
+        release.set()
+        try:
+            server.wait(req, timeout=10)
+            slow_won = 1
+        except ConflictError:
+            slow_won = 0
+        final = client.eval_py("query(fn x => x.Count, ctr)")
+        assert final == exec_won + slow_won
+        assert final >= 1
+
+
+def test_oneshot_statement_is_parsed_once(catalog, monkeypatch):
+    """The front end runs once per statement: a one-shot ``exec`` of a
+    text the server has never seen calls the parser exactly once."""
+    calls = []
+    parse_program = parser.parse_program
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return parse_program(*args, **kwargs)
+
+    src = "query(fn x => update(x, Salary, x.Salary + 17), joe)"
+    with Server(catalog) as server:
+        client = server.connect()
+        monkeypatch.setattr(parser, "parse_program", counting)
+        client.exec(src)
+        assert calls == [(src,)]
+        assert client.eval_py("query(fn x => x.Salary, joe)") == 117
