@@ -4,6 +4,8 @@ Workload shaped like the university example: n people across two base
 classes and one derived privacy view.
 """
 
+import time
+
 import pytest
 
 from repro.db.catalog import Catalog, IncludeSpec
@@ -23,6 +25,26 @@ def _build(n: int) -> Catalog:
         ["Staff"], "fn x => [Name = x.Name]",
         'fn o => query(fn v => v.Sex = "female", o)')])
     return cat
+
+
+def _per_object_s(n: int, builds: int = 3) -> float:
+    """Best-of-``builds`` wall time of :func:`_build` per object."""
+    best = float("inf")
+    for _ in range(builds):
+        t0 = time.perf_counter()
+        _build(n)
+        best = min(best, time.perf_counter() - t0)
+    return best / n
+
+
+def test_population_is_linear():
+    # Each catalog operation must cost O(1) in the catalog's size, so the
+    # per-object cost of a build barely grows with n.  A registry copy
+    # per operation (O(n) each, quadratic overall) reads about 7x here.
+    small, large = _per_object_s(250), _per_object_s(2000)
+    print(f"\npopulation: {small * 1e3:.3f} ms/object at 250, "
+          f"{large * 1e3:.3f} ms/object at 2000 ({large / small:.2f}x)")
+    assert large <= 2.5 * small
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -470,10 +470,12 @@ class Client:
                 raise ConnectionError(
                     f"request to {self.host}:{self.port} failed after "
                     f"{attempt + 1} attempts: {exc}") from exc
+            # A whole reply arrived, so the connection is reusable whether
+            # the reply carries a result or an error.
+            self._release(conn, healthy=True)
             try:
                 return self._accept(reply, request_id)
             except BaseException as exc:
-                self._release(conn, healthy=True)
                 if (retry_errors and policy.is_retriable(exc)
                         and attempt + 1 < policy.max_attempts
                         and not self._closed):
@@ -481,8 +483,6 @@ class Client:
                     attempt += 1
                     continue
                 raise
-            else:  # pragma: no cover - structured above
-                pass
 
     def _accept(self, reply: dict, request_id) -> dict:
         """Validate a reply frame; raise its error if it carries one."""

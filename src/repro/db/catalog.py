@@ -16,9 +16,12 @@ definition is type-checked before it takes effect.
 Robustness guarantees (see ``docs/ROBUSTNESS.md``):
 
 * every mutating operation is **all-or-nothing** — it runs inside a
-  session transaction, and the catalog's own registries roll back with it,
-  so a failed definition leaves neither half-applied bindings nor a stale
-  spec;
+  session transaction, and each write to the catalog's own registries
+  journals its one inverse (pop a new key, put back the old spec, pop an
+  appended member, put back the old member list) in that transaction's
+  store journal, so a failed definition leaves neither half-applied
+  bindings nor a stale spec, at a cost that does not grow with the
+  catalog;
 * a catalog can be given a :class:`~repro.db.wal.WriteAheadLog`; each
   mutation is appended (inside the same atomic scope) and
   :meth:`Catalog.recover` rebuilds the catalog from the log after a
@@ -27,7 +30,6 @@ Robustness guarantees (see ``docs/ROBUSTNESS.md``):
 
 from __future__ import annotations
 
-import copy
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -127,33 +129,36 @@ class Catalog:
     # -- atomicity and the WAL ---------------------------------------------
 
     @contextmanager
-    def _atomic(self, snapshot_specs: bool = True):
+    def _atomic(self):
         """Make one catalog operation all-or-nothing.
 
-        Wraps the operation in a session transaction and snapshots the
-        spec registries; any failure — a type error in generated source, a
-        WAL append fault, an injected fault — restores both, so the
-        catalog never holds a spec whose definition did not take effect
-        (or vice versa).
-
-        ``snapshot_specs=False`` skips the registry deepcopies for
-        operations that provably never touch ``objects``/``classes``
-        (currently :meth:`update_object`, which only writes a store
-        location): the session transaction already rolls the store back,
-        and there is nothing else to restore.
+        Runs the operation in a session transaction.  Every registry write
+        inside it journals its one inverse in the store's undo journal
+        (:meth:`_undo`), which that transaction's savepoint owns; any
+        failure — a type error in generated source, a WAL append fault, an
+        injected fault — rolls the session back and runs the inverses
+        newest first, so the catalog never holds a spec whose definition
+        did not take effect (or vice versa).  Scopes nest like
+        savepoints: an inner failure undoes back to its own mark, and the
+        journal is dropped only when the outermost transaction closes.
         """
-        with self.lock:
-            if snapshot_specs:
-                saved_objects = copy.deepcopy(self.objects)
-                saved_classes = copy.deepcopy(self.classes)
-            try:
-                with self.session.transaction():
-                    yield
-            except BaseException:
-                if snapshot_specs:
-                    self.objects = saved_objects
-                    self.classes = saved_classes
-                raise
+        with self.lock, self.session.transaction():
+            yield
+
+    def _undo(self, inverse) -> None:
+        """Journal ``inverse`` for the open session transaction.  Call it
+        *before* the write it undoes: a fault raised here then leaves
+        nothing to undo."""
+        self.session.machine.store.note_undo(inverse)
+
+    def _put(self, registry: dict, name: str, spec) -> None:
+        """``registry[name] = spec``, journaling the inverse."""
+        if name in registry:
+            old = registry[name]
+            self._undo(lambda: registry.__setitem__(name, old))
+        else:
+            self._undo(lambda: registry.pop(name))
+        registry[name] = spec
 
     def _log(self, op: str, **args) -> None:
         """Append a mutation record (no-op without a WAL or during replay).
@@ -243,7 +248,7 @@ class Catalog:
             raise ReproError("an object needs at least one field")
         with self._atomic():
             self.session.bind(name, spec.render())
-            self.objects[name] = spec
+            self._put(self.objects, name, spec)
             self._log("new_object", name=name, immutable=dict(fields),
                       mutable=dict(mutable or {}))
 
@@ -271,7 +276,7 @@ class Catalog:
             rendered = f"({rendered}) : class({element_type})"
         with self._atomic():
             self.session.exec(f"val {name} = {rendered}")
-            self.classes[name] = spec
+            self._put(self.classes, name, spec)
             self._log("define_class", name=name, own=list(own or []),
                       includes=[{"sources": i.sources, "view": i.view,
                                  "pred": i.pred} for i in (includes or [])],
@@ -286,7 +291,7 @@ class Catalog:
             self.session.exec(f"val {rendered}")
             for name, spec in specs.items():
                 spec.group = group
-                self.classes[name] = spec
+                self._put(self.classes, name, spec)
             # A list, not a dict: the WAL serializes canonically with
             # sorted keys, and group *order* is part of the definition.
             self._log("define_classes", specs=[
@@ -306,7 +311,9 @@ class Catalog:
         obj_src = object_name if view is None else f"({object_name} as {view})"
         with self._atomic():
             self.session.eval(f"insert({obj_src}, {class_name})")
-            self.classes[class_name].own.append((object_name, view))
+            own = self.classes[class_name].own
+            self._undo(own.pop)
+            own.append((object_name, view))
             self._log("insert", **{"class": class_name},
                       object=object_name, view=view)
 
@@ -315,9 +322,10 @@ class Catalog:
         self._require_class(class_name)
         with self._atomic():
             self.session.eval(f"delete({object_name}, {class_name})")
-            self.classes[class_name].own = [
-                (m, v) for m, v in self.classes[class_name].own
-                if m != object_name]
+            spec = self.classes[class_name]
+            old = spec.own
+            self._undo(lambda: setattr(spec, "own", old))
+            spec.own = [(m, v) for m, v in old if m != object_name]
             self._log("delete", **{"class": class_name}, object=object_name)
 
     def update_object(self, object_name: str, label: str, value) -> None:
@@ -344,7 +352,7 @@ class Catalog:
             raise ReproError(
                 f"object '{object_name}' has no field '{label}' "
                 f"(fields: {known})")
-        with self._atomic(snapshot_specs=False):
+        with self._atomic():
             self.session.eval(
                 f"query(fn x => update(x, {label}, {_literal(value)}), "
                 f"{object_name})")

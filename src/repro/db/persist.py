@@ -8,8 +8,13 @@ field data (reading through the store, so it captures current mutable-field
 values) and every class definition's source text.  Restoring replays the
 definitions through a fully type-checked session.
 
-What is *not* captured — and diagnosed loudly — are bindings made behind the
-catalog's back and objects reachable only through closures.
+What is *not* captured are bindings made behind the catalog's back and
+objects reachable only through closures, and they are dropped
+**silently**: a ``val`` bound with ``session.exec`` and an anonymous object
+inserted into a class extent with ``exec`` are both gone after
+:func:`dump_json` → :func:`load_json`, with no error.  Refusing or keeping
+such state needs a checkpoint of the session's heap, not of the catalog's
+definitions (the heap-checkpoint item in ``ROADMAP.md``).
 
 Durability: :func:`dump_json` writes atomically (temp file + fsync +
 rename), wraps the snapshot in a checksummed, versioned envelope, and
@@ -109,7 +114,7 @@ def restore(data: dict[str, Any], catalog: Catalog | None = None) -> Catalog:
             else:
                 spec = specs[cls["name"]]
                 cat.session.exec(f"val {cls['name']} = {spec.render()}")
-                cat.classes[cls["name"]] = spec
+                cat._put(cat.classes, cls["name"], spec)
             done.update(group)
     return cat
 

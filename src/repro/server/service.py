@@ -185,10 +185,10 @@ class ClientTransaction:
         self._wal_buffer: list[tuple[str, dict]] = []
         # Catalog *metadata* undo (ClassSpec.own membership lists), which
         # lives outside the store and so outside OCC's store-level undo.
-        # Keyed by class name, not spec identity: a concurrent _atomic
-        # failure can rebind the registries to a deep copy, and the
-        # extent latch guarantees nobody else changed this class's
-        # membership in between.
+        # Keyed by class name, not spec identity: DDL run through
+        # execute_exclusive between two statements can replace the
+        # class's spec, and the extent latch guarantees nobody else
+        # changed this class's membership in between.
         self._meta_undo: list[tuple[str, list]] = []
         self._finished = False
 

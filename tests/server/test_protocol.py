@@ -399,6 +399,17 @@ def test_inflight_window_serializes_but_completes(tmp_path):
             assert front.stats.frames_in >= 12
 
 
+def test_oneshot_requests_reuse_the_pooled_connection(stack):
+    # A successful one-shot returns its connection to the pool, so a
+    # run of sequential requests dials once, not once per request.
+    _, _, front, _ = stack
+    with Client(*front.address, pool_size=1) as c:
+        results = [c.eval_py("query(fn x => x.Salary, joe)")
+                   for _ in range(20)]
+    assert results == [100] * 20
+    assert front.stats.snapshot()["connections"] == 1
+
+
 def test_open_transaction_does_not_block_other_connections(stack):
     _, _, front, client = stack
     host, port = front.address
