@@ -37,7 +37,7 @@ from repro.client import Client
 from repro.db.catalog import Catalog
 from repro.errors import (BudgetExceededError, OverloadedError, ReproError)
 from repro.server import Server, ServerConfig
-from repro.server.protocol import ProtocolConfig, ProtocolServer
+from repro.server.protocol import ProtocolServer
 from repro.server.retry import RetryPolicy
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -196,14 +196,10 @@ def test_protocol_shedding_curve():
     cat = Catalog()
     _populate(cat)
     # A small pool and queue make the shedding regime unmistakable at
-    # 2×.  The protocol executor is sized *above* queue + workers so the
-    # admission queue — not the executor — is the binding constraint:
-    # overload must surface as structured sheds, not as invisible
-    # backlog in front of the admission decision.
+    # 2×.
     config = ServerConfig(workers=2, queue_size=16)
     with Server(cat, config=config) as server:
-        with ProtocolServer(server,
-                            ProtocolConfig(executor_workers=48)) as front:
+        with ProtocolServer(server) as front:
             host, port = front.address
             capacity = _probe_capacity(host, port)
             base_rate = max(20.0, capacity * UTILIZATION)

@@ -96,3 +96,23 @@ def test_deleted_members_stay_deleted(cat):
     cat.delete("Staff", "bob")
     cat2 = restore(snapshot(cat))
     assert "Bob" not in [r["Name"] for r in cat2.extent("Staff")]
+
+
+def test_restore_into_wal_backed_catalog_survives_recovery(cat, tmp_path):
+    # Every class a restore defines is logged like any other definition,
+    # so the WAL alone rebuilds what was restored — including a member
+    # inserted a second time under another view.
+    cat.define_class("Payroll", own=["alice"], own_views={
+        "alice": "fn x => [Name = x.Name, Sex = x.Sex, "
+                 "Salary := extract(x, Salary)]"})
+    cat.insert("Payroll", "alice")
+    snap = snapshot(cat)
+    wal = str(tmp_path / "db.wal")
+    target = Catalog(wal=wal)
+    assert snapshot(restore(snap, target)) == snap
+    target.wal.close()
+    back = Catalog.recover(wal)
+    assert snapshot(back) == snap
+    for name in ("Staff", "Women", "Payroll"):
+        assert back.extent(name) == cat.extent(name)
+    back.wal.close()
