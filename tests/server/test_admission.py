@@ -39,6 +39,20 @@ def test_put_front_bypasses_the_bound():
     assert q.get(0.01) == "a"
 
 
+def test_put_front_items_are_fifo_among_themselves():
+    # Wire-transaction steps go ahead of every admitted request, but not
+    # ahead of older steps: a commit step is never overtaken by newer ones.
+    q = AdmissionQueue(4)
+    q.put("a")
+    q.put_front("step-1")
+    q.put("b")
+    q.put_front("step-2")
+    assert len(q) == 4
+    assert [q.get(0.01) for _ in range(3)] == ["step-1", "step-2", "a"]
+    q.put_front("step-3")
+    assert q.close() == ["step-3", "b"]
+
+
 def test_get_times_out_with_none():
     q = AdmissionQueue(1)
     assert q.get(0.01) is None
