@@ -17,10 +17,9 @@ A unified multi-pass analysis layer over the parsed (and, inside a
 * :mod:`repro.analysis.regions` — interprocedural footprints: the global
   roots a program may read or write (RP5xx), and their resolution
   against a live heap;
-* :mod:`repro.analysis.workload` / :mod:`repro.analysis.partition` —
-  whole-workload interference: static conflict graphs over named
-  transaction programs, anomaly detectors (RP6xx) and the shard
-  partition report.
+* :mod:`repro.analysis.workload` — whole-workload interference: static
+  conflict graphs over named transaction programs and anomaly
+  detectors (RP6xx).
 
 Diagnostics carry codes (``RPxxx``), severities and source spans; the
 renderer prints caret-underlined snippets.  Entry points:
@@ -31,7 +30,6 @@ sessions, and the ``repro-lint`` console script.
 from .diagnostics import (CODES, Diagnostic, DiagnosticCode, DiagnosticSink,
                           Severity)
 from .engine import LintResult, analyze_term, lint_source, lint_term
-from .partition import PartitionPlan, partition_workload, render_partition
 from .render import render_diagnostic, render_diagnostics
 from .workload import (ConflictEdge, ConflictGraph, WorkloadProgram,
                        build_conflict_graph, render_conflict_graph,
@@ -43,5 +41,4 @@ __all__ = [
     "render_diagnostic", "render_diagnostics",
     "ConflictEdge", "ConflictGraph", "WorkloadProgram",
     "build_conflict_graph", "render_conflict_graph", "workload_anomalies",
-    "PartitionPlan", "partition_workload", "render_partition",
 ]

@@ -197,9 +197,7 @@ def harvest_programs(files: list[Path]) -> dict[str, str]:
 
 
 def _workload_main(args, files: list[Path], floor: Severity) -> int:
-    """The ``--workload`` mode: conflict graph, RP6xx, partition."""
-    from ..errors import PartitionError
-    from .partition import partition_workload, render_partition
+    """The ``--workload`` mode: conflict graph and RP6xx anomalies."""
     from .workload import (build_conflict_graph, graph_to_dict,
                            render_conflict_graph, workload_anomalies)
     programs = harvest_programs(files)
@@ -211,19 +209,12 @@ def _workload_main(args, files: list[Path], floor: Severity) -> int:
     graph = build_conflict_graph(programs, latent_names=latent)
     sink = workload_anomalies(graph)
     anomalies = [d for d in sink.diagnostics if d.severity >= floor]
-    plan = plan_error = None
-    try:
-        plan = partition_workload(graph, shards=args.shards)
-    except PartitionError as exc:
-        plan_error = str(exc)
 
     if args.format == "json":
         payload = graph_to_dict(graph, anomalies)
-        payload["version"] = 1
-        payload["partition"] = (plan.to_dict() if plan is not None
-                                else None)
-        if plan_error is not None:
-            payload["partition_error"] = plan_error
+        # Version 2 dropped the ``partition`` keys; the plain lint
+        # document stays at version 1.
+        payload["version"] = 2
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(render_conflict_graph(graph))
@@ -231,11 +222,6 @@ def _workload_main(args, files: list[Path], floor: Severity) -> int:
             print()
             for d in anomalies:
                 print(f"{d.code} {d.severity.value}: {d.message}")
-        print()
-        if plan is not None:
-            print(render_partition(plan, graph))
-        else:
-            print(f"partition: none ({plan_error})")
     if any(d.severity is Severity.ERROR for d in anomalies):
         return 2
     if any(d.severity is Severity.WARNING for d in anomalies) \
@@ -272,13 +258,10 @@ def main(argv: list[str] | None = None) -> int:
                     help="also run the footprint pass (RP5xx reports)")
     ap.add_argument("--workload", action="store_true",
                     help="treat the inputs as a workload manifest: report "
-                         "the static conflict graph, RP6xx anomalies and "
-                         "the derived shard partition")
-    ap.add_argument("--shards", type=int, default=4,
-                    help="target shard count for --workload partitioning")
+                         "the static conflict graph and RP6xx anomalies")
     ap.add_argument("--format", choices=["text", "json"], default="text",
                     help="json: one stable machine-readable document on "
-                         "stdout (schema version 1)")
+                         "stdout (schema version 1; 2 with --workload)")
     args = ap.parse_args(argv)
     floor = Severity(args.min_severity)
     passes = DEFAULT_PASSES + ["regions"] if args.regions else None

@@ -77,9 +77,6 @@ class PurityEnv:
         else:
             self._impure.discard(name)
 
-    def is_impure(self, name: str) -> bool:
-        return name in self._impure
-
     def snapshot(self) -> set[str]:
         return set(self._impure)
 

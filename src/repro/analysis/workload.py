@@ -32,10 +32,9 @@ still reach shared state at run time (``Emp``'s extent contains ``joe``);
 when a live :class:`~repro.lang.api.Session` is supplied, every root is
 additionally resolved to its reachable state atoms and programs whose
 *resolved* footprints overlap get an **alias** edge — this is the form
-the soundness property test pins against the :class:`SharingTracer`,
-and the form :func:`repro.analysis.partition.partition_workload`
-consumes before deriving shards.  The graph is a report: the server
-does not read it, and runs every transaction under dynamic OCC.
+the soundness property test pins against the :class:`SharingTracer`.
+The graph is a report: the server does not read it, and runs every
+transaction under dynamic OCC.
 """
 
 from __future__ import annotations
@@ -65,11 +64,10 @@ def ambient_names(session=None) -> frozenset:
     Every program's read set mentions the builtins and prelude
     functions it applies (``+``, ``map``, ...).  Those bindings reach no
     mutable state, so treating them as conflict roots would connect
-    every pair of programs and force the whole catalog into one shard.
-    With a ``session``, a name is ambient exactly when its *current*
-    value reaches no state atoms (a rebound builtin stops being
-    ambient); without one, the names of a fresh prelude-only session
-    are used.
+    every pair of programs.  With a ``session``, a name is ambient
+    exactly when its *current* value reaches no state atoms (a rebound
+    builtin stops being ambient); without one, the names of a fresh
+    prelude-only session are used.
     """
     global _AMBIENT_CACHE
     if session is not None:
@@ -115,13 +113,6 @@ class WorkloadProgram:
         """Write roots (never ambient-filtered: a written name holds state)."""
         return self.summary.writes
 
-    @property
-    def roots(self) -> frozenset:
-        """Every root the program may touch (reads always cover writes)."""
-        if self.summary.writes is None:
-            return self.reads
-        return self.reads | self.summary.writes
-
 
 class ConflictEdge:
     """One undirected conflict-graph edge with its evidence."""
@@ -145,12 +136,9 @@ class ConflictGraph:
     """The static conflict graph of one workload."""
 
     def __init__(self, programs: list[WorkloadProgram],
-                 edges: list[ConflictEdge],
-                 ambient: frozenset = frozenset()):
+                 edges: list[ConflictEdge]):
         self.programs = programs
         self.edges = edges
-        #: The stateless names filtered out of every program's roots.
-        self.ambient = ambient
         self._adjacent: dict[str, set[str]] = {p.name: set()
                                                for p in programs}
         for e in edges:
@@ -162,9 +150,6 @@ class ConflictGraph:
             if p.name == name:
                 return p
         raise KeyError(name)
-
-    def neighbors(self, name: str) -> set[str]:
-        return set(self._adjacent[name])
 
     def edge(self, a: str, b: str) -> Optional[ConflictEdge]:
         key = tuple(sorted((a, b)))
@@ -244,7 +229,7 @@ def build_conflict_graph(programs: Mapping[str, str],
             if edge is not None:
                 edges.append(edge)
     edges.sort(key=lambda e: e.key)
-    return ConflictGraph(nodes, edges, ambient)
+    return ConflictGraph(nodes, edges)
 
 
 # ---------------------------------------------------------------------------

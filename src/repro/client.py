@@ -153,6 +153,10 @@ class _Conn:
         except OSError:  # pragma: no cover - close is best-effort
             pass
 
+    @property
+    def closed(self) -> bool:
+        return self.sock.fileno() == -1
+
 
 class WireTransaction:
     """The client-side handle of one interactive wire transaction.
@@ -217,28 +221,31 @@ class WireTransaction:
         return reply["result"]
 
     def _commit(self) -> dict:
-        """Commit; on a lost acknowledgement, probe with the same id."""
-        self._finished = True
+        """Commit; on a lost acknowledgement, probe with the same id.
+
+        An error reply leaves the transaction unfinished, so the caller
+        aborts it, exactly as after a failed statement."""
         cid = self._client._new_id()
         try:
-            return self._roundtrip({"op": "txn.commit", "id": cid})
+            reply = self._roundtrip({"op": "txn.commit", "id": cid})
         except (OSError, ConnectionError, socket.timeout):
             # The commit frame may or may not have arrived; the dedup
             # cache knows.  Probe on a fresh connection: a recorded
             # outcome replays, an unknown one raises a retriable
             # ConflictError ("re-run").
-            self._conn.close()
-            reply = self._client._request({"op": "txn.commit"},
-                                          request_id=cid,
-                                          deadline=self._deadline,
-                                          retry_errors=False)
-            return reply
+            self._finished = True
+            return self._client._request({"op": "txn.commit"},
+                                         request_id=cid,
+                                         deadline=self._deadline,
+                                         retry_errors=False)
+        self._finished = True
+        return reply
 
     def _abort(self) -> None:
         self._finished = True
         try:
             self._roundtrip({"op": "txn.abort"})
-        except (OSError, ConnectionError, socket.timeout, ReproError):
+        except ReproError:
             # The server rolls back on disconnect anyway.
             self._conn.close()
             raise
@@ -249,8 +256,13 @@ class WireTransaction:
         if self._deadline is not None:
             msg["deadline"] = self._deadline
         timeout = self._client._recv_timeout(self._deadline)
-        self._conn.send(msg)
-        reply = self._conn.recv(timeout)
+        try:
+            self._conn.send(msg)
+            reply = self._conn.recv(timeout)
+        except BaseException:
+            # No whole reply: the stream is in an unknown state.
+            self._conn.close()
+            raise
         return self._client._accept(reply, msg["id"])
 
 
@@ -364,22 +376,21 @@ class Client:
         deadline = deadline if deadline is not None else self.deadline
         conn = self._acquire()
         txn = WireTransaction(self, conn, deadline)
-        healthy = True
         try:
             txn._begin()
             yield txn
             txn._commit()
         except BaseException:
-            healthy = False
-            if not txn._finished:
+            if txn.txn_id is not None and not txn._finished:
                 try:
                     txn._abort()
-                    healthy = True
                 except BaseException:
                     pass
             raise
         finally:
-            self._release(conn, healthy)
+            # A connection that lost a reply was closed on the spot; one
+            # whose last reply arrived whole, error or not, still works.
+            self._release(conn)
 
     def run(self, fn, deadline: float | None = None):
         """Run ``fn(txn)`` as one atomic wire transaction, retried.
@@ -472,7 +483,7 @@ class Client:
                     f"{attempt + 1} attempts: {exc}") from exc
             # A whole reply arrived, so the connection is reusable whether
             # the reply carries a result or an error.
-            self._release(conn, healthy=True)
+            self._release(conn)
             try:
                 return self._accept(reply, request_id)
             except BaseException as exc:
@@ -504,8 +515,8 @@ class Client:
         return _Conn(self.host, self.port, self.connect_timeout,
                      self.codec, self.max_frame)
 
-    def _release(self, conn: _Conn, healthy: bool) -> None:
-        if not healthy or self._closed:
+    def _release(self, conn: _Conn) -> None:
+        if conn.closed or self._closed:
             conn.close()
             return
         with self._pool_lock:

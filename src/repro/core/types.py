@@ -405,11 +405,6 @@ def _copy_kind(k: Kind, mapping: dict[int, TVar], level: int) -> Kind:
         for l, req in k.fields.items()})
 
 
-def fresh_var(level: int, kind: Kind | None = None) -> TVar:
-    """Create a fresh type variable (exported convenience)."""
-    return TVar(level, kind)
-
-
 def walk_map(t: Type, fn: Callable[[Type], "Type | None"]) -> Type:
     """Rebuild ``t`` bottom-up, letting ``fn`` replace any node.
 

@@ -209,11 +209,3 @@ class RecursiveClassError(ReproError):
     """A recursive class definition violates the syntactic restriction of
     Section 4.4 (class identifiers may only appear in include-source
     positions)."""
-
-
-class PartitionError(ReproError):
-    """A workload partition cannot be built.
-
-    Raised when a :class:`~repro.analysis.partition.PartitionPlan` is
-    given overlapping or malformed shards, and when a workload has no
-    bounded program with roots to partition."""

@@ -416,17 +416,16 @@ class Session:
         from ..analysis.regions import program_footprint
         return program_footprint(src, self.purity.snapshot()).render()
 
-    def explain_workload(self, programs: dict, shards: int | None = None
-                         ) -> str:
+    def explain_workload(self, programs: dict) -> str:
         """Render the static conflict graph of a workload of named
-        programs — and, with ``shards``, the derived shard partition.
+        programs.
 
         ``programs`` maps program names to sources.  The graph is built
         *against this session*: footprint roots are resolved to live
         heap state, so name-disjoint programs whose roots reach shared
         objects (a class extent containing a named object) are still
-        connected, and the partition keeps them in one shard.  Anomaly
-        findings (RP6xx) are appended.  Nothing is evaluated.
+        connected.  Anomaly findings (RP6xx) are appended.  Nothing is
+        evaluated.
         """
         from ..analysis.workload import (build_conflict_graph,
                                          render_conflict_graph,
@@ -438,11 +437,6 @@ class Session:
             parts.append("\n".join(
                 f"{d.code} {d.severity.value}: {d.message}"
                 for d in anomalies))
-        if shards is not None:
-            from ..analysis.partition import (partition_workload,
-                                              render_partition)
-            plan = partition_workload(graph, shards, session=self)
-            parts.append(render_partition(plan, graph))
         return "\n\n".join(parts)
 
     def prepare(self, src: str) -> "PreparedQuery":

@@ -49,8 +49,10 @@ Admission at the protocol boundary
   pauses briefly while the admission queue is full.
 * **Shedding** — a request the admission queue refuses gets a structured
   ``OverloadedError`` reply with ``retry_after``; the connection lives.
-  One-shots enter it from the event loop; later frames of an admitted
-  interactive transaction go ahead of them and are never shed.
+  One-shots enter it from the event loop.  ``txn.begin`` runs on the
+  loop and is shed while the queue is full; the later frames of an
+  admitted interactive transaction go ahead of every one-shot and are
+  never shed.
 * **Deadlines** — a request's ``deadline`` (seconds) becomes a
   :class:`~repro.runtime.budget.Budget` anchored at *frame receipt*, so
   protocol parsing and queue wait consume the same budget evaluation
@@ -587,8 +589,11 @@ class ProtocolServer:
                     await self._send_reply(conn, codec,
                                            dict(cached, replayed=True))
                     return
-            result = await asyncio.wrap_future(self.server.submit_step(
-                lambda: self._run_txn_step(conn, msg, arrival)).future)
+            if op == "txn.begin":
+                result = self._txn_begin(conn, msg, arrival)
+            else:
+                result = await asyncio.wrap_future(self.server.submit_step(
+                    lambda: self._run_txn_step(conn, msg, arrival)).future)
             reply = {"id": rid, "ok": True, "ro": self.server.read_only,
                      "result": jsonable(result)}
             if op == "txn.commit" and rid is not None:
@@ -671,20 +676,35 @@ class ProtocolServer:
             raise TimeoutError(f"request #{req.seq} did not complete "
                                f"within {timeout}s") from None
 
+    def _txn_begin(self, conn: _Conn, msg: dict, arrival: float) -> dict:
+        """Admit an interactive transaction, on the event loop.
+
+        Beginning takes no lock and touches no catalog state, so it
+        needs no worker.  It is the transaction's admission, though: a
+        full queue or a closed server sheds it, counted the way
+        :meth:`Server.submit` counts a shed one-shot."""
+        if conn.wtxn is not None and conn.wtxn.state == "open":
+            raise ProtocolError("a transaction is already open on this "
+                                "connection")
+        server = self.server
+        budget = self._budget_for(msg, arrival)
+        server.stats.incr("submitted")
+        if (server._stop.is_set()
+                or server.pending() >= server.config.queue_size):
+            server.stats.incr("shed")
+            raise OverloadedError(
+                "no room for a new transaction (the request queue is "
+                "full or the server is closed); back off and resubmit",
+                retry_after=server.suggest_retry_after())
+        txn = OCCTransaction(server._latches)
+        conn.wtxn = _WireTxn(txn, ClientTransaction(server, txn, budget))
+        conn.last_txn_activity = time.monotonic()
+        self.stats.incr("txns_begun")
+        return {"txn": txn.txn_id}
+
     def _run_txn_step(self, conn: _Conn, msg: dict, arrival: float):
         op = msg["op"]
         server = self.server
-        if op == "txn.begin":
-            if conn.wtxn is not None and conn.wtxn.state == "open":
-                raise ProtocolError("a transaction is already open on this "
-                                    "connection")
-            budget = self._budget_for(msg, arrival)
-            server.stats.incr("submitted")
-            txn = OCCTransaction(server._latches)
-            conn.wtxn = _WireTxn(txn, ClientTransaction(server, txn, budget))
-            conn.last_txn_activity = time.monotonic()
-            self.stats.incr("txns_begun")
-            return {"txn": txn.txn_id}
         wtxn = conn.wtxn
         if op == "txn.abort":
             if wtxn is not None and wtxn.state == "open":

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 from ..core import terms as T
 from ..core.types import (KRecord, Kind, KUniv, TBase, TClass, TFun, TLval,
                           TObj, TRecord, TSet, TVar, Type, TypeScheme,
-                          free_type_vars, resolve)
+                          resolve)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..eval.values import Value
@@ -92,15 +92,6 @@ def pretty_scheme(s: TypeScheme) -> str:
     """Print a polytype; free variables of a monotype display as a scheme
     quantifying nothing (their kinds are not shown)."""
     return TypePrinter().scheme(s)
-
-
-def pretty_scheme_generalized(t: Type) -> str:
-    """Display form: quantify every free variable of ``t`` with its kind.
-
-    Used for presentation only (the paper displays inferred types this
-    way); binding-time generalization respects the value restriction.
-    """
-    return TypePrinter().scheme(TypeScheme(free_type_vars(t), t))
 
 
 # ---------------------------------------------------------------------------

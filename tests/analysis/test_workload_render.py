@@ -3,10 +3,10 @@
 import json
 
 from repro.analysis.cli import main
-from repro.analysis.partition import partition_workload, render_partition
 from repro.analysis.workload import (build_conflict_graph,
                                      render_conflict_graph,
                                      workload_anomalies)
+from repro.lang.api import Session
 
 PROGS = {
     "audit": "query(fn x => update(x, Bonus, "
@@ -58,15 +58,28 @@ def test_golden_empty_graph_report():
     )
 
 
-def test_golden_partition_report():
-    g = build_conflict_graph(PROGS)
-    plan = partition_workload(g, shards=2)
-    assert render_partition(plan, g) == (
-        "partition: 2 shard(s), 4/5 program(s) single-shard (80%)\n"
-        "  shard 0: roots {amy, joe} — programs: audit, raise_amy, "
-        "raise_joe\n"
-        "  shard 1: roots {bob} — programs: read_bob\n"
-        "  unbounded: rebuild (⊤ — conflicts with every program)"
+def test_golden_session_workload_report():
+    # The docs/TUTORIAL.md §6 example, built against a live session.
+    s = Session()
+    s.exec('val joe = IDView([Name = "Joe", Salary := 2000])')
+    s.exec('val amy = IDView([Name = "Amy", Salary := 1800])')
+    s.exec('val rates = {[A := 1], [A := 2]}')
+    assert s.explain_workload({
+        "raise_joe": "query(fn x => update(x, Salary, "
+                     "x.Salary + size(rates)), joe)",
+        "raise_amy": "query(fn x => update(x, Salary, "
+                     "x.Salary + size(rates)), amy)",
+        "audit": "query(fn x => x.Salary, joe)",
+    }) == (
+        "workload: 3 program(s) (3 bounded, 0 ⊤), 1 conflict edge(s)\n"
+        "\n"
+        "conflict graph:\n"
+        "  audit ~ raise_joe: audit reads {joe}, which raise_joe writes\n"
+        "\n"
+        "footprints:\n"
+        "  audit: reads {joe}; writes {}\n"
+        "  raise_amy: reads {+, amy, rates, size}; writes {amy}\n"
+        "  raise_joe: reads {+, joe, rates, size}; writes {joe}"
     )
 
 
@@ -94,23 +107,22 @@ def _manifest(tmp_path):
 
 
 def test_cli_workload_report(tmp_path, capsys):
-    assert main(["--workload", "--shards", "2", str(_manifest(tmp_path))]) \
-        == 1  # RP6xx warnings
+    assert main(["--workload", str(_manifest(tmp_path))]) == 1  # RP6xx
     out = capsys.readouterr().out
     assert "workload: 5 program(s)" in out
     assert "audit ~ raise_joe: both write {joe}" in out
     assert "RP601 warning:" in out
-    assert "partition: 2 shard(s), 4/5 program(s) single-shard (80%)" in out
+    assert "partition" not in out
 
 
 def test_cli_workload_json(tmp_path, capsys):
-    assert main(["--workload", "--shards", "2", "--format", "json",
+    assert main(["--workload", "--format", "json",
                  str(_manifest(tmp_path))]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["version"] == 1
+    assert payload["version"] == 2
+    assert set(payload) == {"version", "programs", "edges", "anomalies"}
     assert {p["name"] for p in payload["programs"]} == set(PROGS)
     assert {d["code"] for d in payload["anomalies"]} == {"RP601", "RP603"}
-    assert payload["partition"]["shards"] == [["amy", "joe"], ["bob"]]
 
 
 def test_cli_workload_no_programs(tmp_path, capsys):

@@ -19,6 +19,7 @@ from repro.db.catalog import Catalog
 from repro.errors import (BudgetExceededError, ConflictError, EvalError,
                           FrameTooLargeError, OverloadedError, ProtocolError,
                           ReadOnlyError)
+from repro.runtime.faults import inject
 from repro.server import Server, ServerConfig
 from repro.server.protocol import (CODEC_JSON, CODEC_MSGPACK, HEADER,
                                    PROTOCOL_VERSION, ProtocolConfig,
@@ -412,6 +413,36 @@ def test_oneshot_requests_reuse_the_pooled_connection(stack):
     assert front.stats.snapshot()["connections"] == 1
 
 
+def test_commit_error_reply_keeps_the_pooled_connection(stack):
+    # A commit refused with an error reply (here a stale read) arrived
+    # whole, so its connection still works and goes back to the pool.
+    _, _, front, _ = stack
+    with Client(*front.address, pool_size=1) as c, \
+            Client(*front.address, pool_size=1) as other:
+        with pytest.raises(ConflictError):
+            with c.transaction() as txn:
+                txn.eval_py("query(fn x => x.Salary, joe)")
+                other.update_object("joe", "Salary", 7)
+        dialed = front.stats.snapshot()["connections"]
+        assert c.eval_py("query(fn x => x.Salary, joe)") == 7
+        assert front.stats.snapshot()["connections"] == dialed
+
+
+def test_lost_commit_ack_does_not_pool_the_closed_socket(stack):
+    # The commit's ack is lost: the transaction closes its socket and
+    # probes on a fresh connection.  Only the working one is pooled.
+    cat, _, front, _ = stack
+    with Client(*front.address) as c:
+        with inject("proto.reply", at=3):  # begin, op, then the commit
+            with c.transaction() as txn:
+                txn.update_object("joe", "Salary", 321)
+        assert front.stats.deduped_replies == 1
+        assert c._pool and all(conn.sock.fileno() != -1
+                               for conn in c._pool)
+        assert c.ping()["pong"] is True
+    assert cat.extent("Emp")[0]["Salary"] == 321
+
+
 def test_open_transaction_does_not_block_other_connections(stack):
     _, _, front, client = stack
     host, port = front.address
@@ -491,6 +522,39 @@ def test_admission_queue_sees_wire_requests():
     assert len(shed) == 4
     assert all(exc.retry_after > 0 for exc in shed)
     assert outcomes.count(100) == 8
+
+
+def test_txn_begin_is_shed_when_the_queue_is_full():
+    # The only worker is busy and one one-shot fills the queue.  A new
+    # interactive transaction is refused at txn.begin, like a further
+    # one-shot, instead of being queued past the bound.
+    cat = _catalog()
+    with Server(cat, config=ServerConfig(workers=1,
+                                         queue_size=1)) as server:
+        with ProtocolServer(server) as front, \
+                Client(*front.address, timeout=5.0,
+                       retry=RetryPolicy(max_attempts=1)) as c:
+            release, held = _block_worker(server)
+            try:
+                queued = server.submit(lambda txn: None)
+                with pytest.raises(OverloadedError):
+                    c.eval_py("query(fn x => x.Salary, joe)")
+                with pytest.raises(OverloadedError) as info:
+                    with c.transaction():
+                        pass
+                assert info.value.retry_after > 0
+                assert server.pending() == 1
+                assert server.stats.shed == 2
+                assert front.stats.txns_begun == 0
+            finally:
+                release.set()
+            for req in (held, queued):
+                server.wait(req, timeout=10)
+            # Room again: the transaction is admitted and commits.
+            with c.transaction() as txn:
+                txn.update_object("joe", "Salary", 5)
+    assert cat.extent("Emp")[0]["Salary"] == 5
+    assert front.stats.txns_committed == 1
 
 
 def test_wire_transaction_steps_run_first_and_are_never_shed():
