@@ -15,7 +15,9 @@ other operations on views, sets and classes":
 Both are implemented against the runtime values (the "definable" claim is
 about expressiveness; these helpers are the library form a user wants),
 and :func:`blocking_class_source` also emits the pure in-language encoding
-as surface syntax, which the tests type-check and run.
+as surface syntax, which the tests type-check and run.  Like ``insert``,
+they write extents through ``Machine._replace_own``: journaled, latched,
+stamped and announced to the planner.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from ..errors import EvalError
 from ..eval.equality import value_key
 from ..eval.machine import Machine
-from ..eval.values import VClass, VObject, VSet
+from ..eval.values import VClass, VObject
 
 __all__ = ["cascade_delete", "blocking_class_source", "block_object",
            "unblock_object"]
@@ -47,7 +49,7 @@ def cascade_delete(machine: Machine, cls: VClass, obj: VObject,
     removed = 0
     kept = [e for e in cls.own.elems if value_key(e) != key]
     if len(kept) != len(cls.own.elems):
-        cls.own = VSet(kept)
+        machine._replace_own(cls, machine.make_set(kept))
         removed += 1
     for clause in cls.includes:
         for source in clause.sources:
@@ -83,12 +85,13 @@ def block_object(machine: Machine, blocked_class: VClass,
     class (its own extent), leaving every source class untouched."""
     if not isinstance(blocked_class, VClass):  # pragma: no cover - guard
         raise EvalError("block_object expects a class")
-    blocked_class.own = VSet(blocked_class.own.elems + [obj])
+    machine._replace_own(blocked_class,
+                         machine.make_set(blocked_class.own.elems + [obj]))
 
 
 def unblock_object(machine: Machine, blocked_class: VClass,
                    obj: VObject) -> None:
     """Undo :func:`block_object` (remove by objeq)."""
     key = value_key(obj)
-    blocked_class.own = VSet(
-        [e for e in blocked_class.own.elems if value_key(e) != key])
+    machine._replace_own(blocked_class, machine.make_set(
+        [e for e in blocked_class.own.elems if value_key(e) != key]))

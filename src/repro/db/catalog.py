@@ -24,8 +24,9 @@ Robustness guarantees (see ``docs/ROBUSTNESS.md``):
   catalog;
 * a catalog can be given a :class:`~repro.db.wal.WriteAheadLog`; each
   mutation is appended (inside the same atomic scope) and
-  :meth:`Catalog.recover` rebuilds the catalog from the log after a
-  crash, tolerating a torn tail record.
+  :func:`repro.db.persist.recover` rebuilds the catalog after a crash
+  from its last snapshot and the log records after it, tolerating a
+  torn tail record.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 from ..errors import PersistenceError, ReproError
 from ..lang.api import Session
-from .wal import WriteAheadLog, read_wal
+from .wal import WriteAheadLog
 
 __all__ = ["Catalog", "IncludeSpec", "ClassSpec", "ObjectSpec"]
 
@@ -104,7 +105,7 @@ class Catalog:
 
     ``wal`` (a :class:`~repro.db.wal.WriteAheadLog`, or a path to open one
     at) makes the catalog durable: every mutation is appended to the log
-    and :meth:`recover` replays it after a crash.
+    and :func:`repro.db.persist.recover` replays it after a crash.
     """
 
     def __init__(self, session: Session | None = None,
@@ -176,25 +177,6 @@ class Catalog:
         elif self.wal is not None:
             self.wal.append(op, args)
 
-    @classmethod
-    def recover(cls, wal_path: str, session: Session | None = None,
-                fsync: bool = True) -> "Catalog":
-        """Rebuild a catalog by replaying its WAL from an empty session.
-
-        Tolerates a torn tail record (truncated on open); re-arms the
-        catalog with the same log so subsequent mutations keep appending.
-        """
-        records, _torn = read_wal(wal_path)
-        cat = cls(session)
-        cat._replaying = True
-        try:
-            for record in records:
-                cat._apply(record)
-        finally:
-            cat._replaying = False
-        cat.wal = WriteAheadLog(wal_path, fsync=fsync)
-        return cat
-
     def _apply(self, record: dict) -> None:
         op, args = record.get("op"), record.get("args", {})
         if op == "new_object":
@@ -223,10 +205,12 @@ class Catalog:
         elif op == "txn":
             # A server transaction's mutations, group-committed as one
             # record so a crash mid-flush tears at most one *transaction*
-            # (the torn-tail guarantee), never splits one.
-            for sub in args["ops"]:
-                self._apply(sub)
-        else:
+            # (the torn-tail guarantee), and replayed in one atomic scope
+            # so a failing sub-op never leaves the others applied.
+            with self._atomic():
+                for sub in args["ops"]:
+                    self._apply(sub)
+        elif op != "checkpoint":  # a truncated log's first record: no-op
             raise PersistenceError(
                 f"WAL record lsn {record.get('lsn')} has unknown op "
                 f"{op!r}")

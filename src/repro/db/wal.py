@@ -4,7 +4,8 @@ Snapshots (:mod:`repro.db.persist`) are cheap but coarse: everything or
 nothing.  The WAL records each :class:`~repro.db.catalog.Catalog` mutation
 as one self-checksummed JSON line, so the catalog can be rebuilt after a
 crash by replaying the log from an empty session — or from the last
-snapshot via :func:`repro.db.persist.checkpoint`.
+snapshot, replaying only the records after the LSN it covers
+(:func:`repro.db.persist.recover`).
 
 Record format (one per line)::
 
@@ -15,6 +16,11 @@ Record format (one per line)::
 record at the *tail* — the window a crash mid-append can produce — and
 refuses (:class:`~repro.errors.PersistenceError`) corruption anywhere
 earlier, which indicates real damage rather than a crash.
+
+LSNs never restart.  A checkpoint (:meth:`WriteAheadLog.truncate`)
+replaces the log with one ``{"op": "checkpoint"}`` marker carrying the
+current LSN, so a log starts either at LSN 1 or with that marker, and
+its records are contiguous from there.
 
 Fault-injection points: ``wal.append`` fires before any bytes are
 written; ``wal.fsync`` fires after the bytes are written but before they
@@ -65,9 +71,10 @@ def read_wal(path: str) -> tuple[list[dict[str, Any]], bool]:
 
     Returns ``(records, torn)`` where ``torn`` reports whether a single
     incomplete/corrupt record was found at the tail (tolerated — the
-    crash window).  Corruption *before* the last record raises
-    :class:`~repro.errors.PersistenceError`: that is damage, not a crash.
-    A missing file is an empty log.
+    crash window).  Corruption *before* the last record, or a first
+    record that is neither LSN 1 nor a checkpoint marker, or a gap in
+    the LSNs, raises :class:`~repro.errors.PersistenceError`: that is
+    damage, not a crash.  A missing file is an empty log.
     """
     if not os.path.exists(path):
         return [], False
@@ -88,8 +95,13 @@ def read_wal(path: str) -> tuple[list[dict[str, Any]], bool]:
                     "be a torn append")
             torn = True
             break
-        expected = len(records) + 1
-        if record.get("lsn") != expected:
+        if records:
+            expected = records[-1]["lsn"] + 1
+        elif record.get("op") == "checkpoint":
+            expected = record.get("lsn")
+        else:
+            expected = 1
+        if not isinstance(expected, int) or record.get("lsn") != expected:
             raise PersistenceError(
                 f"WAL '{path}' has record with lsn {record.get('lsn')!r} "
                 f"where {expected} was expected (missing or reordered "
@@ -101,21 +113,22 @@ def read_wal(path: str) -> tuple[list[dict[str, Any]], bool]:
 class WriteAheadLog:
     """An append-only, fsync-on-append log bound to one file.
 
-    Opening an existing log scans it, adopts the last complete LSN and
-    *truncates* a torn tail record so subsequent appends produce a clean
-    log.  ``fsync=False`` trades durability for speed (tests, benchmarks).
+    Opening an existing log scans it, continues from the LSN of its last
+    complete record and *truncates* a torn tail record so subsequent
+    appends produce a clean log.  ``fsync=False`` trades durability for
+    speed (tests, benchmarks).
     """
 
     def __init__(self, path: str, fsync: bool = True):
         self.path = path
         self.fsync = fsync
         records, torn = read_wal(path)
-        self.lsn = len(records)
+        self.lsn = records[-1]["lsn"] if records else 0
         if torn:
             # Keep only the complete prefix.
             with open(path, "r", encoding="utf-8") as f:
                 lines = f.read().split("\n")
-            keep = "".join(line + "\n" for line in lines[:self.lsn])
+            keep = "".join(line + "\n" for line in lines[:len(records)])
             with open(path, "w", encoding="utf-8") as f:
                 f.write(keep)
                 f.flush()
@@ -144,16 +157,19 @@ class WriteAheadLog:
         return iter(records)
 
     def truncate(self) -> None:
-        """Drop every record (after a checkpoint snapshot)."""
-        self._file.close()
-        with open(self.path, "w", encoding="utf-8") as f:
+        """Replace every record with one checkpoint marker at the current
+        LSN (after a snapshot covering that LSN), atomically."""
+        tmp = self.path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write(_encode({"lsn": self.lsn, "op": "checkpoint"}) + "\n")
             f.flush()
             os.fsync(f.fileno())
-        # The truncation must itself survive power loss, or recovery would
-        # replay a log the checkpoint already absorbed.
-        fsync_dir(self.path)
+        os.replace(tmp, self.path)
+        self._file.close()
         self._file = open(self.path, "a", encoding="utf-8")
-        self.lsn = 0
+        # The rename must itself survive power loss, or the old log could
+        # come back without the records appended after the marker.
+        fsync_dir(self.path)
 
     def close(self) -> None:
         self._file.close()

@@ -108,7 +108,7 @@ class Store:
         #: installed, sees mutations *after* they happen, and must never
         #: raise.  Rollbacks are deliberately not notified: the engine
         #: detects them through version stamps, which rollback restores
-        #: while the stamp counter keeps advancing.
+        #: while drawing one fresh stamp, so the counter keeps advancing.
         self.observer = None
 
     def next_stamp(self) -> int:
@@ -200,6 +200,9 @@ class Store:
                 self._next_id -= 1
             else:
                 entry[1]()
+        # Restored stamps are old ones: draw a fresh one so a reader that
+        # watches the counter (the planner's watermark) sees the change.
+        self.next_stamp()
         self._close(sp)
 
     def _close(self, sp: Savepoint) -> None:

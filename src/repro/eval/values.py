@@ -25,7 +25,6 @@ from .store import Location
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.terms import Term
-    from .machine import Machine
 
 __all__ = [
     "Value", "VUnit", "UNIT_VALUE", "VInt", "VBool", "VString", "VRecord",

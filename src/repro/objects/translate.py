@@ -235,8 +235,8 @@ def _match(core_t: Type, ext_t: Type, mapping: dict[int, int]) -> bool:
         return (_match(own_t.elem, TObj(ext_t.elem), mapping)
                 and _match(cod_t.elem, TObj(ext_t.elem), mapping))
 
-    from ..core.types import TBase, TClass as TC, TFun as TF, TLval, TObj \
-        as TO, TRecord as TR, TSet, TVar as TVr
+    from ..core.types import TBase, TFun as TF, TLval, TRecord as TR, TSet, \
+        TVar as TVr
     if isinstance(ext_t, TVr):
         if not isinstance(core_t, TVr):
             return False

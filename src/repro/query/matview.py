@@ -12,11 +12,12 @@ every serve:
 * **version stamps** — every class extent and store location read during
   the build (recorded by :class:`~repro.query.tracking.DepTracker`) must
   still carry its recorded version.  Stamps are monotonic and never
-  reused, so this also catches transaction rollbacks, which restore
-  values *without* notifications;
+  reused, so once the walk runs it also catches transaction rollbacks,
+  which restore values and stamps *without* notifications;
 * **the store watermark** — when the store's stamp counter has not moved
   since the entry was last validated, nothing anywhere was written and
-  the version walk is skipped entirely.
+  the version walk is skipped entirely.  A rollback restores old stamps,
+  so it also draws one fresh stamp to move the counter.
 
 Maintenance is incremental where it can be proven local.  For a pipeline
 over a single include-free extent whose stages are element-wise

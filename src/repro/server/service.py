@@ -22,8 +22,8 @@ robustness layer:
   wedging on a dead disk (:mod:`repro.server.admission`);
 * dead workers are respawned and their in-flight request re-queued, so a
   worker crash is invisible to clients;
-* on startup, a WAL path is recovered through the doctor
-  (:mod:`repro.server.recover`) before the first request is admitted.
+* on startup, a WAL path is recovered (:func:`repro.db.persist.recover`)
+  before the first request is admitted; :meth:`Server.close` closes it.
 
 Client view::
 
@@ -47,12 +47,12 @@ from dataclasses import dataclass, field
 # Unused: kept because benchmarks/e2e/tracing.py patches both names here.
 from ..analysis.regions import program_footprint, resolve_footprint  # noqa: F401
 from ..db.catalog import Catalog
+from ..db.persist import RecoveryReport, recover
 from ..errors import ConflictError, OverloadedError, ReadOnlyError
 from ..runtime.budget import Budget
 from ..runtime.faults import fire
 from .admission import AdmissionQueue, CircuitBreaker
 from .occ import LatchTable, OCCTransaction
-from .recover import RecoveryReport, recover
 from .retry import RetryPolicy
 
 __all__ = ["ServerConfig", "Server", "ClientSession", "ClientTransaction",
@@ -345,10 +345,11 @@ class Server:
     Parameters
     ----------
     catalog:
-        An existing catalog to serve.  When omitted, one is built — and
-        if ``wal`` names an existing log, it is first **recovered**
-        through :func:`repro.server.recover.recover` (the report lands in
-        :attr:`recovery`).
+        An existing catalog to serve (its WAL stays the caller's to
+        close).  When omitted, one is built — and if ``wal`` names an
+        existing log, it is first **recovered** through
+        :func:`repro.db.persist.recover` (the report lands in
+        :attr:`recovery`); :meth:`close` closes that WAL.
     wal / snapshot:
         Paths for durability and startup recovery (optional).
     config:
@@ -363,6 +364,7 @@ class Server:
                  wal_fsync: bool = True, optimize: bool = False):
         self.config = config if config is not None else ServerConfig()
         self.recovery: RecoveryReport | None = None
+        self._owns_catalog = catalog is None
         if catalog is None:
             if wal is not None:
                 catalog, self.recovery = recover(
@@ -502,7 +504,8 @@ class Server:
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Stop admitting, run queued steps, shed the rest, join workers."""
+        """Stop admitting, run queued steps, shed the rest, join workers,
+        and close the WAL of a catalog the server built itself."""
         if self._stop.is_set():
             return
         self._stop.set()
@@ -517,6 +520,8 @@ class Server:
             threads = list(self._threads)
         for t in threads:
             t.join(timeout=5.0)
+        if self._owns_catalog and self.catalog.wal is not None:
+            self.catalog.wal.close()
 
     def __enter__(self) -> "Server":
         return self
@@ -641,6 +646,7 @@ class Server:
                   handle: ClientTransaction) -> None:
         with self._lock:
             txn.rollback()
+            self.session.machine.store.next_stamp()  # see Store.rollback
             for class_name, old_own in reversed(handle._meta_undo):
                 spec = self.catalog.classes.get(class_name)
                 if spec is not None:

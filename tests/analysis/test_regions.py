@@ -1,8 +1,5 @@
 """Unit tests for the footprint analysis (repro.analysis.regions)."""
 
-import pytest
-
-from repro.analysis.diagnostics import DiagnosticSink
 from repro.analysis.engine import lint_source
 from repro.analysis.regions import (FootprintSummary, ResolvedFootprint,
                                     SharingTracer, class_extent_is_pure,

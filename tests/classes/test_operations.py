@@ -9,9 +9,8 @@ from repro.classes.operations import (block_object, blocking_class_source,
 NAMES = "fn S => map(fn o => query(fn v => v.Name, o), S)"
 
 
-@pytest.fixture()
-def s():
-    sess = Session()
+def _build(optimize=False):
+    sess = Session(optimize=optimize)
     sess.exec('val o1 = IDView([Name = "o1", Sex = "f"])')
     sess.exec('val o2 = IDView([Name = "o2", Sex = "f"])')
     sess.exec("val Base = class {o1, o2} end")
@@ -19,6 +18,11 @@ def s():
               "as fn x => [Name = x.Name, Sex = x.Sex] "
               "where fn i => true end")
     return sess
+
+
+@pytest.fixture()
+def s():
+    return _build()
 
 
 def _val(s, name):
@@ -109,3 +113,53 @@ def test_blocking_respects_objeq(s):
     s.eval("insert((o1 as fn x => [Name = \"alias\", Sex = x.Sex]), "
            "V3_blocked)")
     assert s.eval_py(f"c-query({NAMES}, V3)") == ["o2"]
+
+
+# -- every helper writes extents through the machine's choke point ----------
+
+def _with_blocking(sess):
+    sess.exec(blocking_class_source(
+        "V", "Base", "fn x => [Name = x.Name, Sex = x.Sex]"))
+    block_object(sess.machine, _val(sess, "V_blocked"), _val(sess, "o2"))
+    return sess
+
+
+HELPERS = {
+    "cascade_delete": lambda s: cascade_delete(
+        s.machine, _val(s, "Derived"), _val(s, "o1")),
+    "block_object": lambda s: block_object(
+        s.machine, _val(s, "V_blocked"), _val(s, "o1")),
+    "unblock_object": lambda s: unblock_object(
+        s.machine, _val(s, "V_blocked"), _val(s, "o2")),
+}
+
+
+def _names(s):
+    return {c: s.eval_py(f"c-query({NAMES}, {c})")
+            for c in ("Base", "Derived", "V")}
+
+
+class _Abort(Exception):
+    pass
+
+
+@pytest.mark.parametrize("helper", sorted(HELPERS))
+def test_helper_rolls_back_with_its_transaction(helper):
+    s = _with_blocking(_build())
+    before = _names(s)
+    with pytest.raises(_Abort):
+        with s.transaction():
+            HELPERS[helper](s)
+            assert _names(s) != before
+            raise _Abort()
+    assert _names(s) == before
+
+
+@pytest.mark.parametrize("helper", sorted(HELPERS))
+def test_planner_sees_helper_writes(helper):
+    naive, opt = _with_blocking(_build()), _with_blocking(_build(True))
+    for _ in range(3):  # the repeats materialize every query's view
+        assert _names(opt) == _names(naive)
+    for sess in (naive, opt):
+        HELPERS[helper](sess)
+    assert _names(opt) == _names(naive)

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.db.catalog import Catalog, ClassSpec, IncludeSpec
-from repro.db.persist import dump_json, load_json, restore, snapshot
+from repro.db.persist import (dump_json, load_json, recover, restore,
+                               snapshot)
 from repro.errors import ReproError
 
 
@@ -111,7 +112,7 @@ def test_restore_into_wal_backed_catalog_survives_recovery(cat, tmp_path):
     target = Catalog(wal=wal)
     assert snapshot(restore(snap, target)) == snap
     target.wal.close()
-    back = Catalog.recover(wal)
+    back, _report = recover(wal)
     assert snapshot(back) == snap
     for name in ("Staff", "Women", "Payroll"):
         assert back.extent(name) == cat.extent(name)

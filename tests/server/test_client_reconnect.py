@@ -15,7 +15,7 @@ from repro.client import Client
 from repro.db.catalog import Catalog
 from repro.runtime import faults
 from repro.runtime.faults import inject
-from repro.server import Server, ServerConfig
+from repro.server import Server
 from repro.server.protocol import ProtocolConfig, ProtocolServer
 from repro.server.retry import RetryPolicy
 
@@ -68,6 +68,7 @@ def test_server_restart_committed_work_survives(tmp_path):
         assert client.eval_py("query(fn x => x.Salary, joe)") == 321
         front.close()
         server.close()
+        cat.wal.close()
 
         # While the server is down, requests fail with a retryable
         # transport error once the attempts run out — never a hang.
@@ -76,9 +77,9 @@ def test_server_restart_committed_work_survives(tmp_path):
                    retry=RetryPolicy(max_attempts=2, base_delay=0.001,
                                      max_delay=0.01)).ping()
 
-        # The recovery doctor replays the WAL; the front end rebinds
+        # The server recovers the WAL on startup; the front end rebinds
         # the same port.
-        recovered = Server(Catalog.recover(wal))
+        recovered = Server(wal=wal)
         front2 = ProtocolServer(recovered,
                                 ProtocolConfig(host=host, port=port))
         front2.start()
@@ -116,8 +117,9 @@ def test_restart_mid_session_surfaces_retryable_then_recovers(tmp_path):
         time.sleep(0.15)
         front.close()
         server.close()
+        cat.wal.close()
         time.sleep(0.1)
-        recovered = Server(Catalog.recover(wal))
+        recovered = Server(wal=wal)
         front2 = ProtocolServer(recovered,
                                 ProtocolConfig(host=host, port=port))
         front2.start()

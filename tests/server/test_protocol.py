@@ -17,8 +17,7 @@ import pytest
 from repro.client import Client, exception_from_wire
 from repro.db.catalog import Catalog
 from repro.errors import (BudgetExceededError, ConflictError, EvalError,
-                          FrameTooLargeError, OverloadedError, ProtocolError,
-                          ReadOnlyError)
+                          OverloadedError, ProtocolError, ReadOnlyError)
 from repro.runtime.faults import inject
 from repro.server import Server, ServerConfig
 from repro.server.protocol import (CODEC_JSON, CODEC_MSGPACK, HEADER,
@@ -701,15 +700,21 @@ class _Abort(Exception):
     pass
 
 
-@pytest.mark.parametrize("kind", ["location", "extent"])
-def test_oneshots_do_not_read_an_open_transactions_writes(kind):
+@pytest.mark.parametrize("kind,optimize", [
+    pytest.param("location", False, id="location"),
+    pytest.param("extent", False, id="extent"),
+    pytest.param("location", True, id="location-planner"),
+    pytest.param("extent", True, id="extent-planner")])
+def test_oneshots_do_not_read_an_open_transactions_writes(kind, optimize):
     # The writer writes in place and then aborts: a one-shot that read
-    # (or copied) its write before the abort must have failed instead.
+    # (or copied) its write before the abort must have failed instead,
+    # and no later read may see it, served by the planner or not.
     cat = _catalog()
     quick = ServerConfig(retry=RetryPolicy(max_attempts=2,
                                            base_delay=0.0001,
                                            max_delay=0.001))
-    with Server(cat, config=quick) as server, ProtocolServer(server) as front:
+    with Server(cat, config=quick, optimize=optimize) as server, \
+            ProtocolServer(server) as front:
         with Client(*front.address, retry=RetryPolicy(max_attempts=1)) as c:
             with pytest.raises(_Abort):
                 with c.transaction() as txn:

@@ -10,7 +10,6 @@ never in between.
 """
 
 import socket
-import struct
 import threading
 import time
 

@@ -225,6 +225,16 @@ def test_server_recovers_from_wal_on_startup(tmp_path):
             {"Name": "Joe", "Salary": 778}]
 
 
+def test_close_closes_only_the_wal_the_server_opened(tmp_path):
+    server = Server(wal=str(tmp_path / "db.wal"))
+    server.close()
+    assert server.catalog.wal._file.closed
+    cat = Catalog(wal=str(tmp_path / "own.wal"))
+    Server(cat).close()
+    assert not cat.wal._file.closed  # the caller's catalog, the caller's log
+    cat.wal.close()
+
+
 def test_execute_exclusive_runs_ddl(server):
     server.execute_exclusive(
         lambda cat: cat.define_class("Payroll", own=["joe", "amy"]))
