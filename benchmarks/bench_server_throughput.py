@@ -3,9 +3,9 @@
 Two claims are measured:
 
 * **the OCC gate** — running a single client's transactions through the
-  server's concurrency machinery (read tracking, write latching, commit
-  validation) costs at most **15%** over the same statements on a bare
-  session.  ``test_occ_single_client_overhead_envelope`` enforces this
+  server's concurrency machinery (read tracking, staged writes, commit
+  validation and install) costs at most **15%** over the same statements
+  on a bare session.  ``test_occ_single_client_overhead_envelope`` enforces this
   the same way ``bench_runtime_overhead`` enforces the journaling
   envelope: alternating best-of-rounds samples.
 
@@ -29,7 +29,7 @@ from repro.server.service import ClientTransaction
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_server.json"
 
 #: Employees in the served database; clients spread over them so the
-#: multi-client runs measure throughput, not pure latch contention.
+#: multi-client runs measure throughput, not pure conflict retries.
 EMPLOYEES = 16
 #: Transactions per timed sample (gate) / per client (throughput).
 BATCH = 30
@@ -66,9 +66,9 @@ def _run_bare(session, name):
 
 def _run_occ(server, name):
     # The same two statements as _run_bare, through the full OCC path:
-    # tracked reads, latched writes, commit-time validation.
+    # tracked reads, staged writes, commit-time validation and install.
     for _ in range(BATCH):
-        txn = OCCTransaction(server._latches)
+        txn = OCCTransaction()
         handle = ClientTransaction(server, txn, None)
         handle.eval_py(f"query(fn v => v.Income, {_view_src(name)})")
         handle.exec(f"query(fn x => update(x, Bonus, x.Salary * 3), {name})")

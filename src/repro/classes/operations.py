@@ -16,8 +16,10 @@ Both are implemented against the runtime values (the "definable" claim is
 about expressiveness; these helpers are the library form a user wants),
 and :func:`blocking_class_source` also emits the pure in-language encoding
 as surface syntax, which the tests type-check and run.  Like ``insert``,
-they write extents through ``Machine._replace_own``: journaled, latched,
-stamped and announced to the planner.
+they read and write own extents through the store
+(:meth:`~repro.eval.store.Store.own`,
+:meth:`~repro.eval.store.Store.replace_own`): journaled, stamped and
+announced to the planner, or staged inside a server transaction.
 """
 
 from __future__ import annotations
@@ -47,9 +49,10 @@ def cascade_delete(machine: Machine, cls: VClass, obj: VObject,
     visiting = visiting | {cls.oid}
     key = value_key(obj)
     removed = 0
-    kept = [e for e in cls.own.elems if value_key(e) != key]
-    if len(kept) != len(cls.own.elems):
-        machine._replace_own(cls, machine.make_set(kept))
+    own = machine.store.own(cls).elems
+    kept = [e for e in own if value_key(e) != key]
+    if len(kept) != len(own):
+        machine.store.replace_own(cls, machine.make_set(kept))
         removed += 1
     for clause in cls.includes:
         for source in clause.sources:
@@ -85,13 +88,15 @@ def block_object(machine: Machine, blocked_class: VClass,
     class (its own extent), leaving every source class untouched."""
     if not isinstance(blocked_class, VClass):  # pragma: no cover - guard
         raise EvalError("block_object expects a class")
-    machine._replace_own(blocked_class,
-                         machine.make_set(blocked_class.own.elems + [obj]))
+    store = machine.store
+    store.replace_own(blocked_class, machine.make_set(
+        store.own(blocked_class).elems + [obj]))
 
 
 def unblock_object(machine: Machine, blocked_class: VClass,
                    obj: VObject) -> None:
     """Undo :func:`block_object` (remove by objeq)."""
     key = value_key(obj)
-    machine._replace_own(blocked_class, machine.make_set(
-        [e for e in blocked_class.own.elems if value_key(e) != key]))
+    store = machine.store
+    store.replace_own(blocked_class, machine.make_set(
+        [e for e in store.own(blocked_class).elems if value_key(e) != key]))

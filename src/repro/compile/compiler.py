@@ -497,7 +497,9 @@ class _Compiler:
                 cls = _c(m, C, L)
                 if not isinstance(cls, VClass):
                     raise EvalError("'insert' expects a class")
-                m._replace_own(cls, m.make_set(cls.own.elems + [obj]))
+                store = m.store
+                store.replace_own(
+                    cls, m.make_set(store.own(cls).elems + [obj]))
                 return UNIT_VALUE
             return insert
         if isinstance(term, T.Delete):
@@ -515,8 +517,9 @@ class _Compiler:
                 if not isinstance(cls, VClass):
                     raise EvalError("'delete' expects a class")
                 key = value_key(obj)
-                m._replace_own(cls, m.make_set(
-                    [e for e in cls.own.elems if value_key(e) != key]))
+                store = m.store
+                store.replace_own(cls, m.make_set(
+                    [e for e in store.own(cls).elems if value_key(e) != key]))
                 return UNIT_VALUE
             return delete
         if isinstance(term, T.LetClasses):
@@ -1077,7 +1080,9 @@ class _Compiler:
                 if type(cell) is Location:
                     t = m.store.tracker
                     if t is not None:
-                        t.did_read(cell)
+                        staged = t.did_read(cell)
+                        if staged is not None:
+                            return staged
                     return cell.value
                 return cell
             return dot_closed
@@ -1093,7 +1098,9 @@ class _Compiler:
             if t is not None:
                 cell = rec.cells.get(_l)
                 if isinstance(cell, Location):
-                    t.did_read(cell)
+                    staged = t.did_read(cell)
+                    if staged is not None:
+                        return staged
             return rec.read(_l)
         return dot
 

@@ -125,6 +125,8 @@ class Catalog:
         #: When set (by a server transaction), :meth:`_log` appends records
         #: here instead of the WAL; the server flushes them to the WAL at
         #: commit, so the log only ever contains *committed* transactions.
+        #: Its ``insert``/``delete`` records reach the class registry at
+        #: commit too (:meth:`install_members`).
         self._log_sink: list[tuple[str, dict]] | None = None
 
     # -- atomicity and the WAL ---------------------------------------------
@@ -295,22 +297,37 @@ class Catalog:
         obj_src = object_name if view is None else f"({object_name} as {view})"
         with self._atomic():
             self.session.eval(f"insert({obj_src}, {class_name})")
-            own = self.classes[class_name].own
-            self._undo(own.pop)
-            own.append((object_name, view))
-            self._log("insert", **{"class": class_name},
-                      object=object_name, view=view)
+            self._member("insert", {"class": class_name,
+                                    "object": object_name, "view": view})
 
     def delete(self, class_name: str, object_name: str) -> None:
         """Remove a named object from a class's own extent (by objeq)."""
         self._require_class(class_name)
         with self._atomic():
             self.session.eval(f"delete({object_name}, {class_name})")
-            spec = self.classes[class_name]
+            self._member("delete", {"class": class_name,
+                                    "object": object_name})
+
+    def _member(self, op: str, args: dict) -> None:
+        """Log an ``insert``/``delete``; inside a server transaction its
+        registry change waits for the commit, like its heap writes."""
+        if self._log_sink is None:
+            self.install_members([(op, args)])
+        self._log(op, **args)
+
+    def install_members(self, records: list[tuple[str, dict]]) -> None:
+        """Apply ``insert``/``delete`` records to the class registry."""
+        for op, args in records:
+            if op not in ("insert", "delete"):
+                continue
+            spec = self.classes[args["class"]]
             old = spec.own
-            self._undo(lambda: setattr(spec, "own", old))
-            spec.own = [(m, v) for m, v in old if m != object_name]
-            self._log("delete", **{"class": class_name}, object=object_name)
+            if op == "insert":
+                self._undo(old.pop)
+                old.append((args["object"], args["view"]))
+            else:
+                self._undo(lambda s=spec, o=old: setattr(s, "own", o))
+                spec.own = [(m, v) for m, v in old if m != args["object"]]
 
     def update_object(self, object_name: str, label: str, value) -> None:
         """Update a mutable field of a named raw object.

@@ -180,7 +180,7 @@ class Machine:
         if self.tracer is not None:
             self.tracer.enter("extent", f"class#{cls.oid}")
         inner = visiting | {cls.oid}
-        elems: list[Value] = list(cls.own.elems)
+        elems: list[Value] = list(self.store.own(cls).elems)
         purity_memo: dict | None = None
         for clause in cls.includes:
             if clause.dead:
@@ -273,7 +273,9 @@ class Machine:
             if t is not None:
                 cell = rec.cells.get(term.label)
                 if isinstance(cell, Location):
-                    t.did_read(cell)
+                    staged = t.did_read(cell)
+                    if staged is not None:
+                        return staged
             return rec.read(term.label)
         if isinstance(term, T.Extract):
             raise EvalError(
@@ -343,15 +345,18 @@ class Machine:
             obj = self._eval_object(term.obj, env, "insert")
             cls = self._eval_class(term.cls, env, "insert")
             # union(OwnExt, {e}) — the existing element wins on collision.
-            self._replace_own(cls, self.make_set(cls.own.elems + [obj]))
+            store = self.store
+            store.replace_own(
+                cls, self.make_set(store.own(cls).elems + [obj]))
             return UNIT_VALUE
         if isinstance(term, T.Delete):
             obj = self._eval_object(term.obj, env, "delete")
             cls = self._eval_class(term.cls, env, "delete")
             from .equality import value_key
             key = value_key(obj)
-            self._replace_own(cls, self.make_set(
-                [e for e in cls.own.elems if value_key(e) != key]))
+            store = self.store
+            store.replace_own(cls, self.make_set(
+                [e for e in store.own(cls).elems if value_key(e) != key]))
             return UNIT_VALUE
         if isinstance(term, T.LetClasses):
             # Create the shells first so mutually recursive include-source
@@ -367,25 +372,6 @@ class Machine:
             f"unknown term node {type(term).__name__}")  # pragma: no cover
 
     # -- helpers -----------------------------------------------------------
-
-    def _replace_own(self, cls: VClass, new_own: VSet) -> None:
-        """Replace a class's own extent, journaled under a transaction."""
-        store = self.store
-        t = store.tracker
-        if t is not None:
-            # May raise ConflictError — before any mutation.
-            t.will_write_extent(cls)
-        if store.journaling:
-            def undo(c=cls, o=cls.own, v=cls.version):
-                c.own = o
-                c.version = v
-            store.note_undo(undo)
-        old_own, old_version = cls.own, cls.version
-        cls.version = store.next_stamp()
-        cls.own = new_own
-        obs = store.observer
-        if obs is not None:
-            obs.extent_replaced(cls, old_own, old_version)
 
     def _eval_record(self, term: T.RecordExpr, env: Env) -> VRecord:
         cells: dict[str, object] = {}

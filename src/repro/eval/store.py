@@ -15,22 +15,29 @@ observe the same ids.  Constructing a :class:`Location` directly (outside
 any store) falls back to a module-level counter and is not transactional.
 
 Concurrency (``repro.server``): every location carries a **version stamp**
-drawn from the store's monotonic stamp counter.  A committed or in-flight
-write bumps the stamp; rolling a write back restores the location's
-previous stamp, but the counter itself never rewinds, so a stamp value is
-never reused for a *different* value of the same location (no ABA).  The
-optional :attr:`Store.tracker` lets an optimistic-concurrency transaction
-observe reads and intercept writes; with no tracker installed the cost is
-one ``None`` check.  The store itself is not thread-safe — the server
+drawn from the store's monotonic stamp counter.  A write in place draws a
+fresh stamp; rolling a savepoint back restores the location's previous
+stamp, but the counter itself never rewinds, so a stamp value is never
+reused for a *different* value of the same location (no ABA).  While a
+server transaction runs, :attr:`Store.staging` holds it: writes and
+own-extent replacements are then staged in the transaction instead of
+the heap, and :meth:`Store.install` / :meth:`Store.install_own` write
+them at commit — so the heap only ever holds committed state.  The
+optional :attr:`Store.tracker` lets that transaction observe reads (and
+answer them from its staging); with no tracker installed the cost is one
+``None`` check.  The store itself is not thread-safe — the server
 serializes statements on the catalog lock.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..runtime.faults import fire
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .values import VClass, VSet
 
 __all__ = ["Location", "Store", "Savepoint"]
 
@@ -88,8 +95,8 @@ class Store:
     undoes them.
     """
 
-    __slots__ = ("allocations", "tracker", "observer", "_next_id",
-                 "_journal", "_depth", "_stamp")
+    __slots__ = ("allocations", "tracker", "staging", "observer",
+                 "_next_id", "_journal", "_depth", "_stamp")
 
     def __init__(self) -> None:
         self.allocations = 0
@@ -99,16 +106,19 @@ class Store:
         #: Monotonic version-stamp counter.  Never rewound — not even by
         #: rollback — so (location, stamp) pairs uniquely identify a value.
         self._stamp = 0
-        #: Optional read/write observer installed by the server's OCC layer
-        #: (must provide ``did_read``/``will_write`` and the ``_extent``
-        #: variants); None outside a server transaction.
+        #: Optional read/write observer (must provide ``did_read``/
+        #: ``will_write`` and the ``_extent`` variants); ``did_read`` may
+        #: return a staged value, which then answers the read.
         self.tracker = None
+        #: The running server transaction, whose ``writes`` and
+        #: ``extents`` receive writes instead of the heap; else None.
+        self.staging = None
         #: Optional *change* observer (the query engine's index/view
         #: maintenance).  Unlike ``tracker`` it is permanent once
-        #: installed, sees mutations *after* they happen, and must never
-        #: raise.  Rollbacks are deliberately not notified: the engine
-        #: detects them through version stamps, which rollback restores
-        #: while drawing one fresh stamp, so the counter keeps advancing.
+        #: installed, sees heap mutations *after* they happen, and must
+        #: never raise.  Rollbacks are deliberately not notified: the
+        #: engine detects them through version stamps, which rollback
+        #: restores while drawing one fresh stamp.
         self.observer = None
 
     def next_stamp(self) -> int:
@@ -121,8 +131,8 @@ class Store:
     def alloc(self, value: Any) -> Location:
         # Fresh allocations are stamped too: a rolled-back allocation's id
         # is reused (deterministic replay) but its stamp never is, so a
-        # reader of the doomed location cannot validate against the reborn
-        # one.
+        # reader of the rolled-back location cannot validate against the
+        # reborn one.
         loc = Location(value, self._next_id, self.next_stamp())
         self._next_id += 1
         self.allocations += 1
@@ -137,18 +147,69 @@ class Store:
         fire("store.write")
         t = self.tracker
         if t is not None:
-            # May raise ConflictError (write-write conflict) — before any
-            # mutation, so there is nothing to undo.
             t.will_write(location)
+        s = self.staging
+        if s is not None:
+            self._stage(s.writes, location, value)
+            return
         j = self._journal
         if j is not None:
             fire("journal.append")
             j.append((_WRITE, location, location.value, location.version))
+        self.install(location, value)
+
+    def install(self, location: Location, value: Any) -> None:
+        """Write ``location`` in the heap under a fresh stamp and tell the
+        observer.  Fires no fault point."""
         location.version = self.next_stamp()
         location.value = value
         obs = self.observer
         if obs is not None:
             obs.location_written(location)
+
+    def own(self, cls: "VClass") -> "VSet":
+        """``cls``'s own extent: the staged one, else the heap's."""
+        s = self.staging
+        if s is not None:
+            staged = s.extents.get(cls)
+            if staged is not None:
+                return staged
+        return cls.own
+
+    def replace_own(self, cls: "VClass", new_own: "VSet") -> None:
+        """Replace ``cls``'s own extent — ``insert``/``delete``'s choke
+        point."""
+        t = self.tracker
+        if t is not None:
+            t.will_write_extent(cls)
+        s = self.staging
+        if s is not None:
+            self._stage(s.extents, cls, new_own)
+            return
+        def undo(c=cls, o=cls.own, v=cls.version):
+            c.own = o
+            c.version = v
+        self.note_undo(undo)
+        self.install_own(cls, new_own)
+
+    def install_own(self, cls: "VClass", new_own: "VSet") -> None:
+        """:meth:`install` for an own extent."""
+        old_own, old_version = cls.own, cls.version
+        cls.version = self.next_stamp()
+        cls.own = new_own
+        obs = self.observer
+        if obs is not None:
+            obs.extent_replaced(cls, old_own, old_version)
+
+    def _stage(self, table: dict, key, value) -> None:
+        """``table[key] = value``, journaling the inverse: a failing
+        statement un-stages its writes."""
+        if key in table:
+            old = table[key]
+            self.note_undo(lambda: table.__setitem__(key, old))
+        else:
+            self.note_undo(lambda: table.pop(key))
+        table[key] = value
 
     @property
     def journaling(self) -> bool:

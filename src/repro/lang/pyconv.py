@@ -42,10 +42,11 @@ def record_to_python(rec: VRecord, machine: Machine,
         if isinstance(cell, Location):
             # Conversion is an observation: a server transaction that
             # returns this value to a client has *read* these cells, so
-            # OCC must validate their versions at commit.
-            if tracker is not None:
-                tracker.did_read(cell)
-            inner = cell.value
+            # OCC must validate their versions at commit (and answers
+            # from its own staged write, if it made one).
+            inner = None if tracker is None else tracker.did_read(cell)
+            if inner is None:
+                inner = cell.value
         else:
             inner = cell
         out[label] = value_to_python(inner, machine, memo)

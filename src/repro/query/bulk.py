@@ -4,10 +4,9 @@ Inserting ``n`` objects through the surface language costs ``n`` parses,
 ``n`` typechecks and — far worse — ``n`` own-extent replacements, each of
 which re-deduplicates the grown set (quadratic overall).  ``bulk_insert``
 builds the object values directly and replaces the extent **once**,
-through the same :meth:`~repro.eval.machine.Machine._replace_own` choke
-point the evaluator uses, so transactions journal it and the query
-engine's store observer sees one extent replacement covering the whole
-batch.
+through the same :meth:`~repro.eval.store.Store.replace_own` choke point
+the evaluator uses, so transactions journal it and the query engine's
+store observer sees one extent replacement covering the whole batch.
 
 The class itself must already be declared through the surface language
 (that is what establishes its type); only the *population* is bulk.
@@ -61,5 +60,6 @@ def bulk_insert(session, class_name: str, rows: list[dict],
         machine.metrics.records_created += 1
         machine.metrics.objects_created += 1
         objs.append(VObject(VRecord(cells, mutable_set), identity_view()))
-    machine._replace_own(cls, machine.make_set(cls.own.elems + objs))
+    store = machine.store
+    store.replace_own(cls, machine.make_set(store.own(cls).elems + objs))
     return len(objs)

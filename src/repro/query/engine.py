@@ -22,7 +22,9 @@ one exists, else a hash-index bucket lookup when the leading stage is an
 equality filter on an eligible field of a large-enough extent, else a
 scan.  Every shortcut registers the reads the scan it replaced would have
 made — through the store's tracker, so an OCC transaction's read set (and
-therefore its conflicts) is the same whichever path ran.
+therefore its conflicts) is the same whichever path ran.  Indexes and
+views hold committed state only, so a statement of a server transaction
+that has staged writes (:mod:`repro.server.occ`) is never planned.
 """
 
 from __future__ import annotations
@@ -146,7 +148,8 @@ class QueryEngine:
 
     def execute(self, term: T.Term, env) -> Value:
         """Evaluate ``term`` — planned when possible, naive otherwise."""
-        if not self.enabled:
+        staging = self.machine.store.staging
+        if not self.enabled or (staging is not None and staging.staged):
             return self._naive(term, env)
         plan = self._plan(term)
         if plan.pipe is None:

@@ -8,8 +8,9 @@ via ``did_read`` — which later validate by comparing versions (the store's
 stamps are monotonic and never reused, so a matching version *is* the same
 value; see :mod:`repro.eval.store`).
 
-Builds can happen inside a server transaction, where the store already has
-an OCC tracker installed.  :class:`TeeTracker` forwards every callback to
+Builds can happen inside a server transaction that has staged no write
+yet (the planner declines one that has), where the store already has an
+OCC tracker installed.  :class:`TeeTracker` forwards every callback to
 both, so the transaction's read set still sees everything the build read
 (an indexed read must conflict with a concurrent write exactly like the
 scan it replaced).

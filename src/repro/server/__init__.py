@@ -12,7 +12,7 @@ by the blocking client in ``repro.client``.  See ``docs/ROBUSTNESS.md``
 
 from ..db.persist import RecoveryReport, recover
 from .admission import AdmissionQueue, CircuitBreaker
-from .occ import LatchTable, OCCTransaction
+from .occ import OCCTransaction
 from .protocol import ProtocolConfig, ProtocolServer, ProtocolStats
 from .retry import RetryPolicy
 from .service import (ClientSession, ClientTransaction, Server, ServerConfig,
@@ -23,7 +23,6 @@ __all__ = [
     "CircuitBreaker",
     "ClientSession",
     "ClientTransaction",
-    "LatchTable",
     "OCCTransaction",
     "ProtocolConfig",
     "ProtocolServer",

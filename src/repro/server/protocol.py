@@ -60,7 +60,8 @@ Admission at the protocol boundary
 * **Slow-loris** — a frame that stalls mid-read past
   ``frame_timeout`` closes the connection (other clients unaffected),
   and an idle *open transaction* past ``txn_idle_timeout`` is rolled
-  back so abandoned clients cannot hold write latches forever.
+  back so an abandoned client cannot hold a connection and its staged
+  writes forever.
 
 Exactly-once
 ------------
@@ -231,7 +232,7 @@ class ProtocolConfig:
     #: connection is closed (the slow-loris guard).
     frame_timeout: float = 10.0
     #: Seconds an *open transaction* may sit idle before it is rolled
-    #: back and its connection closed (abandoned latch holders).
+    #: back and its connection closed (abandoned clients).
     txn_idle_timeout: float = 30.0
     #: How long the reader pauses while the admission queue is full
     #: before letting the request through to be shed with a structured
@@ -443,7 +444,7 @@ class ProtocolServer:
         try:
             # First header byte: wait patiently (idle connections are
             # fine), but poll so an abandoned open transaction is rolled
-            # back instead of holding latches forever.
+            # back instead of being held open forever.
             first = None
             while first is None:
                 if self._closing:
@@ -520,15 +521,10 @@ class ProtocolServer:
         wtxn = conn.wtxn
         if wtxn is not None and wtxn.state == "open":
             # Disconnect mid-transaction (including a torn commit frame):
-            # roll back cleanly.  A commit whose frame *arrived* has
-            # already run to completion above — never half-applied.
-            try:
-                await asyncio.wrap_future(self.server.submit_step(
-                    lambda: self._txn_rollback(conn, wtxn)).future)
-            except OverloadedError:  # server closed: no worker runs it
-                self._txn_rollback(conn, wtxn)
-            except BaseException:  # pragma: no cover - shutdown race
-                pass
+            # drop its staging, here on the loop.  A commit whose frame
+            # *arrived* has already run to completion above — never
+            # half-applied.
+            self._txn_rollback(conn, wtxn)
         try:
             conn.writer.close()
         except Exception:
@@ -696,7 +692,7 @@ class ProtocolServer:
                 "no room for a new transaction (the request queue is "
                 "full or the server is closed); back off and resubmit",
                 retry_after=server.suggest_retry_after())
-        txn = OCCTransaction(server._latches)
+        txn = OCCTransaction()
         conn.wtxn = _WireTxn(txn, ClientTransaction(server, txn, budget))
         conn.last_txn_activity = time.monotonic()
         self.stats.incr("txns_begun")
@@ -748,7 +744,7 @@ class ProtocolServer:
         raise ProtocolError(f"unknown transaction operation '{op}'")
 
     def _txn_rollback(self, conn: _Conn, wtxn: _WireTxn) -> None:
-        self.server._rollback(wtxn.txn, wtxn.handle)
+        wtxn.txn.rollback()
         wtxn.handle._finished = True
         wtxn.state = "aborted"
         conn.wtxn = None

@@ -10,10 +10,11 @@ robustness layer:
   the lock is released between them, so transactions genuinely
   interleave;
 * every transaction runs dynamic OCC (:mod:`repro.server.occ`): reads
-  are tracked against the store's version stamps, writes take latches,
-  and commit validates the read set, so interference between
-  interleaved transactions surfaces as a recoverable
-  :class:`~repro.errors.ConflictError`;
+  are tracked against the store's version stamps, writes are staged in
+  the transaction until commit, and commit validates the read set, so
+  interference between interleaved transactions surfaces as a
+  recoverable :class:`~repro.errors.ConflictError`, and no statement
+  ever sees another transaction's uncommitted write;
 * conflicts are retried with jittered exponential backoff
   (:mod:`repro.server.retry`);
 * a bounded admission queue sheds load
@@ -52,7 +53,7 @@ from ..errors import ConflictError, OverloadedError, ReadOnlyError
 from ..runtime.budget import Budget
 from ..runtime.faults import fire
 from .admission import AdmissionQueue, CircuitBreaker
-from .occ import LatchTable, OCCTransaction
+from .occ import OCCTransaction
 from .retry import RetryPolicy
 
 __all__ = ["ServerConfig", "Server", "ClientSession", "ClientTransaction",
@@ -159,12 +160,12 @@ class ClientTransaction:
     """The handle a transaction body receives: statement-level access to
     the shared catalog under OCC tracking.
 
-    Each method is one *statement*: it takes the catalog lock, arms the
-    transaction's tracker on the store, runs, and releases — so
-    statements of different transactions interleave, and the OCC layer
-    is what keeps the interleaving serializable.  Values returned by
-    query methods are plain Python data (the conversion itself is a
-    tracked read).
+    Each method is one *statement*: it takes the catalog lock, installs
+    the transaction as the store's tracker and staging, runs, and
+    releases — so statements of different transactions interleave, and
+    the OCC layer is what keeps the interleaving serializable.  Values
+    returned by query methods are plain Python data (the conversion
+    itself is a tracked read).
 
     Transactions are for queries and DML.  ``val``/``fun`` declarations
     made through :meth:`exec` take effect per-statement and are *not*
@@ -172,8 +173,7 @@ class ClientTransaction:
     :meth:`Server.execute_exclusive` instead.
     """
 
-    __slots__ = ("_server", "_txn", "_budget", "_wal_buffer", "_meta_undo",
-                 "_finished")
+    __slots__ = ("_server", "_txn", "_budget", "_wal_buffer", "_finished")
 
     def __init__(self, server: "Server", txn: OCCTransaction,
                  budget: Budget | None):
@@ -181,13 +181,6 @@ class ClientTransaction:
         self._txn = txn
         self._budget = budget
         self._wal_buffer: list[tuple[str, dict]] = []
-        # Catalog *metadata* undo (ClassSpec.own membership lists), which
-        # lives outside the store and so outside OCC's store-level undo.
-        # Keyed by class name, not spec identity: DDL run through
-        # execute_exclusive between two statements can replace the
-        # class's spec, and the extent latch guarantees nobody else
-        # changed this class's membership in between.
-        self._meta_undo: list[tuple[str, list]] = []
         self._finished = False
 
     # -- statements ---------------------------------------------------------
@@ -205,13 +198,14 @@ class ClientTransaction:
         with server._lock:
             session = server.session
             store = session.machine.store
-            store.tracker = self._txn
+            store.tracker = store.staging = self._txn
             server.catalog._log_sink = self._wal_buffer
             try:
                 if mutating:
-                    # Statement atomicity rides the savepoint machinery;
+                    # Statement atomicity rides the savepoint machinery
+                    # (a failing statement un-stages its writes);
                     # on_commit eagerly validates the read set so a
-                    # transaction already doomed by a concurrent commit
+                    # transaction a concurrent commit already made stale
                     # fails fast instead of doing more work.
                     with session.transaction(budget=self._budget,
                                              on_commit=self._txn.validate):
@@ -220,7 +214,7 @@ class ClientTransaction:
                     with session._with_budget(self._budget):
                         return run(session)
             finally:
-                store.tracker = None
+                store.tracker = store.staging = None
                 server.catalog._log_sink = None
 
     def eval_py(self, src: str):
@@ -239,34 +233,19 @@ class ClientTransaction:
             lambda s: self._server.catalog.update_object(name, label, value),
             mutating=True)
 
-    def _membership(self, class_name: str, run) -> None:
-        """A membership-changing statement, with metadata undo recorded
-        on success (a *failed* statement is already restored by the
-        catalog's own all-or-nothing machinery)."""
-        cat = self._server.catalog
-
-        def wrapped(_session):
-            spec = cat.classes.get(class_name)
-            old_own = list(spec.own) if spec is not None else None
-            run()
-            if old_own is not None:
-                self._meta_undo.append((class_name, old_own))
-
-        self._statement(wrapped, mutating=True)
-
     def insert(self, class_name: str, object_name: str,
                view: str | None = None) -> None:
         """Insert a named object into a class extent."""
-        self._membership(
-            class_name,
-            lambda: self._server.catalog.insert(class_name, object_name,
-                                                view=view))
+        self._statement(
+            lambda s: self._server.catalog.insert(class_name, object_name,
+                                                  view=view),
+            mutating=True)
 
     def delete(self, class_name: str, object_name: str) -> None:
         """Remove a named object from a class's own extent."""
-        self._membership(
-            class_name,
-            lambda: self._server.catalog.delete(class_name, object_name))
+        self._statement(
+            lambda s: self._server.catalog.delete(class_name, object_name),
+            mutating=True)
 
     def extent(self, class_name: str) -> list[dict]:
         """The materialized extent of a class, as Python dicts."""
@@ -379,7 +358,6 @@ class Server:
         self.catalog = catalog
         self.session = catalog.session
         self._lock = catalog.lock
-        self._latches = LatchTable()
         self._queue = AdmissionQueue(self.config.queue_size)
         self._breaker = CircuitBreaker(self.config.breaker_threshold,
                                        self.config.breaker_cooldown)
@@ -510,7 +488,9 @@ class Server:
             return
         self._stop.set()
         for req in self._queue.close():
-            if req.step:  # never shed: a wire rollback frees its latches
+            if req.step:
+                # Never shed: the frames of an admitted transaction run,
+                # so a commit frame that arrived still commits.
                 self._process(req)
                 continue
             self.stats.incr("shed")
@@ -592,13 +572,13 @@ class Server:
         rng = random.Random(req.seq)
         attempt = 0
         while True:
-            txn = OCCTransaction(self._latches)
+            txn = OCCTransaction()
             handle = ClientTransaction(self, txn, budget)
             try:
                 result = req.fn(handle)
                 self._commit(txn, handle)
             except BaseException as exc:
-                self._rollback(txn, handle)
+                txn.rollback()
                 if isinstance(exc, ConflictError):
                     self.stats.incr("conflicts")
                 if (policy.is_retriable(exc)
@@ -619,7 +599,10 @@ class Server:
 
     def _commit(self, txn: OCCTransaction,
                 handle: ClientTransaction) -> None:
-        """Validate, flush the WAL, publish — all under the catalog lock."""
+        """Validate, flush the WAL, install — all under the catalog lock.
+
+        Install fires no fault point: once the WAL append succeeded, the
+        staged writes and registry changes all land."""
         with self._lock:
             fire("server.conflict")
             txn.validate()
@@ -630,7 +613,8 @@ class Server:
                 except BaseException:
                     self.stats.incr("wal_failures")
                     raise
-            txn.finalize()
+            txn.install(self.session.machine.store)
+            self.catalog.install_members(buffer)
 
     def _flush_wal(self, buffer: list[tuple[str, dict]]) -> None:
         """Group-commit the transaction's records as one WAL append."""
@@ -642,13 +626,3 @@ class Server:
                 "txn", {"ops": [{"op": op, "args": args}
                                 for op, args in buffer]})
 
-    def _rollback(self, txn: OCCTransaction,
-                  handle: ClientTransaction) -> None:
-        with self._lock:
-            txn.rollback()
-            self.session.machine.store.next_stamp()  # see Store.rollback
-            for class_name, old_own in reversed(handle._meta_undo):
-                spec = self.catalog.classes.get(class_name)
-                if spec is not None:
-                    spec.own = list(old_own)
-            handle._meta_undo.clear()

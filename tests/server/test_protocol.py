@@ -449,7 +449,7 @@ def test_open_transaction_does_not_block_other_connections(stack):
         with client.transaction() as txn:
             txn.update_object("joe", "Salary", 500)
             # A second connection keeps serving disjoint work while the
-            # first holds an open transaction (and its write latch).
+            # first holds an open transaction (and its staged write).
             assert other.eval_py("query(fn x => x.Salary, amy)") == 200
             other.update_object("amy", "Salary", 250)
         assert other.eval_py("query(fn x => x.Salary, joe)") == 500
@@ -563,15 +563,17 @@ def test_wire_transaction_steps_run_first_and_are_never_shed():
     with Server(cat, config=ServerConfig(workers=1,
                                          queue_size=4)) as server:
         with ProtocolServer(server) as front, Client(*front.address) as c:
-            seen = []  # (amy's stored Salary, wire commits) per one-shot
+            # Per one-shot: whether the wire transaction had staged its
+            # op's write, amy's committed Salary, and wire commits.
+            seen = []
             began, go, gate, gated = (threading.Event() for _ in range(4))
             errors = []
 
             def observe(txn):
-                with server._lock:  # untracked: the raw stored value
-                    salary = server.session.eval_py(
-                        "query(fn x => x.Salary, amy)")
-                seen.append((salary, front.stats.txns_committed))
+                staged = any(conn.wtxn is not None and conn.wtxn.txn.staged
+                             for conn in list(front._conns))
+                salary = txn.eval_py("query(fn x => x.Salary, amy)")
+                seen.append((staged, salary, front.stats.txns_committed))
 
             def observe_then_hold(txn):
                 observe(txn)
@@ -609,14 +611,14 @@ def test_wire_transaction_steps_run_first_and_are_never_shed():
             for req in [held, *queued]:
                 server.wait(req, timeout=10)
     assert errors == []
-    assert seen == [(999, 0)] + [(999, 1)] * 3
+    assert seen == [(True, 200, 0)] + [(False, 999, 1)] * 3
     assert server.stats.shed == 0
 
 
-def test_open_transaction_commits_while_readers_of_its_latch_retry():
-    # One-shot readers of a latched location conflict and retry rather
-    # than read the uncommitted value; their retries must not starve the
-    # writer's commit step.
+def test_open_transaction_commits_while_readers_see_the_committed_value():
+    # One-shot readers of a location an open transaction wrote read the
+    # committed value, never the uncommitted one and never a conflict;
+    # their reads must not starve the writer's commit step.
     cat = _catalog()
     with Server(cat, config=ServerConfig(workers=2)) as server:
         with ProtocolServer(server) as front:
@@ -625,11 +627,8 @@ def test_open_transaction_commits_while_readers_of_its_latch_retry():
             def reader():
                 with Client(*front.address) as c:
                     while not stop.is_set():
-                        try:
-                            reads.append(
-                                c.eval_py("query(fn x => x.Salary, joe)"))
-                        except ConflictError:
-                            pass
+                        reads.append(
+                            c.eval_py("query(fn x => x.Salary, joe)"))
 
             readers = [threading.Thread(target=reader) for _ in range(4)]
             try:
@@ -638,19 +637,20 @@ def test_open_transaction_commits_while_readers_of_its_latch_retry():
                         txn.update_object("joe", "Salary", 99)
                         for r in readers:
                             r.start()
-                        _wait_until(lambda: server.stats.conflicts >= 8)
+                        _wait_until(lambda: len(reads) >= 8)
                         read_while_open = list(reads)
                         t0 = time.monotonic()
                     commit_s = time.monotonic() - t0
-                _wait_until(lambda: len(reads) >= 4)
+                _wait_until(lambda: 99 in reads)
             finally:
                 stop.set()
                 for r in readers:
                     r.join(timeout=30)
     assert not any(r.is_alive() for r in readers)
-    assert read_while_open == []
+    assert set(read_while_open) == {100}
     assert commit_s < 5.0
-    assert set(reads) == {99}
+    assert set(reads) == {100, 99}
+    assert server.stats.conflicts == 0
 
 
 def test_loop_to_worker_handoff_loses_no_updates_under_preemption():
@@ -706,9 +706,10 @@ class _Abort(Exception):
     pytest.param("location", True, id="location-planner"),
     pytest.param("extent", True, id="extent-planner")])
 def test_oneshots_do_not_read_an_open_transactions_writes(kind, optimize):
-    # The writer writes in place and then aborts: a one-shot that read
-    # (or copied) its write before the abort must have failed instead,
-    # and no later read may see it, served by the planner or not.
+    # The writer stages its writes and then aborts: a one-shot that reads
+    # (or copies) the written state meanwhile gets the committed value,
+    # and no later read sees the aborted write, served by the planner or
+    # not.
     cat = _catalog()
     quick = ServerConfig(retry=RetryPolicy(max_attempts=2,
                                            base_delay=0.0001,
@@ -720,47 +721,48 @@ def test_oneshots_do_not_read_an_open_transactions_writes(kind, optimize):
                 with c.transaction() as txn:
                     if kind == "location":
                         txn.exec("query(fn x => update(x, Salary, 99), joe)")
-                        with pytest.raises(ConflictError):
-                            c.eval_py("query(fn x => x.Salary, joe)")
-                        with pytest.raises(ConflictError):
-                            c.exec("query(fn a => update(a, Salary, "
-                                   "query(fn j => j.Salary, joe)), amy)")
+                        assert c.eval_py("query(fn x => x.Salary, joe)") \
+                            == 100
+                        c.exec("query(fn a => update(a, Salary, "
+                               "query(fn j => j.Salary, joe)), amy)")
                     else:
                         txn.insert("Emp", "amy")
-                        with pytest.raises(ConflictError):
-                            c.extent("Emp")
+                        assert c.extent("Emp") == [{"Name": "Joe",
+                                                    "Salary": 100}]
                     raise _Abort()
-            assert c.eval_py("query(fn x => x.Salary, amy)") == 200
+            copied = 100 if kind == "location" else 200
+            assert c.eval_py("query(fn x => x.Salary, amy)") == copied
+            assert c.eval_py("query(fn x => x.Salary, joe)") == 100
             assert c.extent("Emp") == [{"Name": "Joe", "Salary": 100}]
+    assert server.stats.conflicts == 0
 
 
-def test_wire_transaction_that_reread_an_aborted_write_cannot_commit():
-    # Read joe, another transaction writes joe in place, read joe again
-    # (its uncommitted 99), the writer aborts and restores joe's stamp,
-    # copy the 99 into amy: the reader must not commit.
+def test_wire_transaction_never_rereads_an_aborted_write():
+    # Read joe, another transaction writes joe, read joe again, the
+    # writer aborts, copy the re-read into amy: both reads saw the
+    # committed 100, so the reader commits.
     cat = _catalog()
     with Server(cat) as server, ProtocolServer(server) as front:
         with Client(*front.address) as c, Client(*front.address) as w:
-            with pytest.raises(ConflictError, match="non-repeatable read"):
-                with c.transaction() as reader:
-                    assert reader.eval_py(
-                        "query(fn x => x.Salary, joe)") == 100
-                    with pytest.raises(_Abort):
-                        with w.transaction() as writer:
-                            writer.update_object("joe", "Salary", 99)
-                            seen = reader.eval_py(
-                                "query(fn x => x.Salary, joe)")
-                            raise _Abort()
-                    assert seen == 99  # read in place: the reader is doomed
-                    reader.update_object("amy", "Salary", seen)
-            assert c.eval_py("query(fn x => x.Salary, amy)") == 200
+            with c.transaction() as reader:
+                assert reader.eval_py(
+                    "query(fn x => x.Salary, joe)") == 100
+                with pytest.raises(_Abort):
+                    with w.transaction() as writer:
+                        writer.update_object("joe", "Salary", 99)
+                        seen = reader.eval_py(
+                            "query(fn x => x.Salary, joe)")
+                        raise _Abort()
+                assert seen == 100
+                reader.update_object("amy", "Salary", seen)
+            assert c.eval_py("query(fn x => x.Salary, amy)") == 100
             assert c.eval_py("query(fn x => x.Salary, joe)") == 100
 
 
 def test_disconnect_after_server_close_rolls_back_inline():
-    # The server closed under an open wire transaction; the queue then
-    # refuses the disconnect's rollback step, so the front end rolls the
-    # transaction back itself and its latch is released.
+    # The server closed under an open wire transaction; the disconnect's
+    # cleanup drops the transaction's staging on the event loop, with no
+    # worker and no lock.
     cat = _catalog()
     server = Server(cat, config=ServerConfig(workers=1))
     with ProtocolServer(server) as front, Client(*front.address) as c:
@@ -768,35 +770,52 @@ def test_disconnect_after_server_close_rolls_back_inline():
             with c.transaction() as txn:
                 txn.update_object("joe", "Salary", 99)
                 server.close()
-                assert server._latches._owners != {}
+                (wtxn,) = [conn.wtxn for conn in list(front._conns)
+                           if conn.wtxn is not None]
+                assert wtxn.txn.staged
                 txn._conn.close()  # disconnect mid-transaction
                 _wait_until(lambda: front.stats.txns_rolled_back == 1)
                 raise _Abort()
+    assert not wtxn.txn.staged
     assert cat.extent("Emp")[0]["Salary"] == 100
-    assert server._latches._owners == {}
 
 
 def test_server_close_runs_a_queued_wire_rollback():
-    # The disconnect's rollback step waits behind a busy worker when the
+    # A txn.abort frame waits as a step behind a busy worker when the
     # server closes: close() runs it rather than shedding it.
     cat = _catalog()
     server = Server(cat, config=ServerConfig(workers=1))
     with ProtocolServer(server) as front, Client(*front.address) as c:
-        with pytest.raises(_Abort):
-            with c.transaction() as txn:
-                txn.update_object("joe", "Salary", 99)
-                release, held = _block_worker(server)
-                try:
-                    txn._conn.close()  # disconnect mid-transaction
-                    _wait_until(lambda: server.pending() == 1)
-                    closer = threading.Thread(target=server.close)
-                    closer.start()
-                    _wait_until(lambda: front.stats.txns_rolled_back == 1)
-                finally:
-                    release.set()
-                closer.join(timeout=10)
-                raise _Abort()
-    assert not closer.is_alive()
+        staged, abort = threading.Event(), threading.Event()
+        errors = []
+
+        def wire():
+            try:
+                with c.transaction() as txn:
+                    txn.update_object("joe", "Salary", 99)
+                    staged.set()
+                    abort.wait(10)
+                    raise _Abort()
+            except _Abort:
+                pass
+            except BaseException as exc:  # pragma: no cover
+                errors.append(exc)
+
+        wire_thread = threading.Thread(target=wire)
+        wire_thread.start()
+        assert staged.wait(10)
+        release, held = _block_worker(server)
+        try:
+            abort.set()  # the txn.abort frame queues behind the blocker
+            _wait_until(lambda: server.pending() == 1)
+            closer = threading.Thread(target=server.close)
+            closer.start()
+            _wait_until(lambda: front.stats.txns_rolled_back == 1)
+        finally:
+            release.set()
+        closer.join(timeout=10)
+        wire_thread.join(timeout=10)
+    assert not closer.is_alive() and not wire_thread.is_alive()
+    assert errors == []
     assert cat.extent("Emp")[0]["Salary"] == 100
-    assert server._latches._owners == {}
     assert server.stats.shed == 0

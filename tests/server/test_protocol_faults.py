@@ -1,8 +1,8 @@
 """The *network* fault matrix, plus over-the-wire stress.
 
 Every named network fault below must leave the server consistent: no
-half-applied transaction, no leaked latch, no stuck connection slot —
-and the scenario table is checked for completeness against
+half-applied transaction and no stuck connection slot — and the
+scenario table is checked for completeness against
 :data:`NETWORK_FAULTS` so a new fault name cannot be declared without a
 recovery scenario.  The rule under test is the tentpole's: a transaction
 interrupted by the network **commits durably or rolls back cleanly**,
@@ -90,7 +90,7 @@ def _wait_stat(stats, name, value, timeout=5.0):
 
 def _assert_recovered(cat, server, front, before=None):
     """The invariant every scenario ends on: catalog consistent (or
-    unchanged), latches free, and a fresh client can transact."""
+    unchanged), and a fresh client can transact."""
     if before is not None:
         assert _observe(cat) == before
     with Client(*front.address) as probe:
@@ -171,7 +171,7 @@ def _slow_loris(cat, server, front):
 
 def _disconnect_before_commit(cat, server, front):
     # A wire transaction with applied statements loses its connection
-    # before the commit frame: full rollback, latches released.
+    # before the commit frame: full rollback.
     before = _observe(cat)
     sock = _connect(front)
     _send(sock, {"op": "txn.begin", "id": "t-1"})
@@ -238,7 +238,7 @@ def _disconnect_after_commit(cat, server, front):
 
 def _abandoned_transaction(cat, server, front):
     # An open transaction that goes idle past txn_idle_timeout is rolled
-    # back so its latches cannot starve other writers forever.
+    # back, so an abandoned client cannot hold it open forever.
     before = _observe(cat)
     sock = _connect(front)
     _send(sock, {"op": "txn.begin", "id": "z-1"})

@@ -129,6 +129,45 @@ def test_a_commit_racing_a_snapshot_is_not_skipped(tmp_path, monkeypatch):
     assert ("Joe", 999) in _observe(recovered)["extent"]
 
 
+def test_checkpoint_during_an_open_transaction_keeps_only_committed_state(
+        tmp_path):
+    # A transaction's writes stay private until it commits, so a
+    # checkpoint taken while it is open captures none of them, and its
+    # abort leaves nothing behind in the snapshot.
+    wal = tmp_path / "db.wal"
+    snap = tmp_path / "db.json"
+    cat = Catalog(wal=str(wal))
+    cat.new_object("joe", Name="Joe", mutable={"Salary": 100})
+    cat.new_object("ann", Name="Ann", mutable={"Salary": 300})
+    cat.define_class("Emp", own=["joe"])
+    staged, checkpointed = threading.Event(), threading.Event()
+
+    class Abort(Exception):
+        pass
+
+    def aborted(txn):
+        txn.update_object("joe", "Salary", 999)
+        txn.insert("Emp", "ann")
+        staged.set()
+        checkpointed.wait(10)
+        raise Abort()
+
+    with Server(cat) as server:
+        req = server.submit(aborted)
+        assert staged.wait(10)
+        checkpoint(cat, str(snap))
+        checkpointed.set()
+        with pytest.raises(Abort):
+            server.wait(req, timeout=10)
+    cat.wal.close()
+    recovered, _report = recover(str(wal), snapshot_path=str(snap))
+    assert recovered.session.eval_py("query(fn x => x.Salary, joe)") == 100
+    assert recovered.extent("Emp") == [{"Name": "Joe", "Salary": 100}]
+    assert recovered.classes["Emp"].own == [("joe", None)]
+    assert _observe(recovered) == _observe(cat)
+    recovered.wal.close()
+
+
 def test_checkpoint_close_reopen_numbers_after_the_snapshot(tmp_path):
     wal = tmp_path / "db.wal"
     snap = tmp_path / "db.json"

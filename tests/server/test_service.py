@@ -93,23 +93,23 @@ def test_conflict_surfaces_after_retries_exhaust(catalog):
     config = ServerConfig(retry=RetryPolicy(
         max_attempts=2, base_delay=0.0001, max_delay=0.001))
     with Server(catalog, config=config) as server:
-        started = threading.Event()
-        block = threading.Event()
+        bumps = iter(range(1, 10))
 
-        def holder(txn):
-            txn.update_object("joe", "Salary", 1)  # latches the location
-            started.set()
-            block.wait(10)
+        def stale_reader(txn):
+            salary = txn.eval_py("query(fn x => x.Salary, joe)")
+            # Another transaction commits joe before this one can, so
+            # every attempt's read is stale at its commit.
+            server.call(lambda other: other.update_object(
+                "joe", "Salary", next(bumps)))
+            txn.update_object("amy", "Salary", salary)
 
-        req = server.submit(holder)
-        assert started.wait(10)
-        # Every attempt hits the held write latch; after max_attempts the
-        # conflict surfaces to the client instead of retrying forever.
-        with pytest.raises(ConflictError):
-            server.connect().run(
-                lambda txn: txn.update_object("joe", "Salary", 2))
-        block.set()
-        server.wait(req, timeout=10)
+        # After max_attempts the conflict surfaces to the client instead
+        # of retrying forever.
+        with pytest.raises(ConflictError, match="stale read"):
+            server.connect().run(stale_reader)
+        assert server.stats.conflicts == 2
+        assert server.connect().eval_py(
+            "query(fn x => x.Salary, amy)") == 200
 
 
 def test_full_queue_sheds_load(catalog):
