@@ -18,7 +18,9 @@ names:
   sides).
 
 Timings are best-of-rounds over prepared queries (parse and inference
-paid once, exactly like the other benches' steady-state loops), with
+paid once, exactly like the other benches' steady-state loops; the
+served path now skips them too for a repeated statement shape, through
+the session's statement cache), with
 the two sides' rounds interleaved so host noise cannot land on just
 one of them, and every workload first checks the two sessions agree
 on the result.

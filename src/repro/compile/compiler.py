@@ -11,8 +11,11 @@ uniform signature ``node(machine, C, L) -> Value``:
   so variable access is a list index instead of a chained-dict walk;
 * top-level free variables resolve **at compile time** against the
   session's runtime environment and are embedded as constants (the program
-  cache pins their identities and recompiles on rebinding, see
-  :mod:`repro.compile.engine`).
+  pins their identities and is recompiled on rebinding, see
+  :mod:`repro.compile.engine`);
+* a statement template's parameters (:mod:`repro.lang.statements`) are the
+  program's first top-level slots, seeded by :meth:`CompiledProgram.run`,
+  so one program serves every literal value of its statement shape.
 
 Compiled lambdas are :class:`~repro.eval.values.VCompiledFn` — a unary
 :class:`~repro.eval.values.VBuiltin` — so application interoperates with
@@ -121,8 +124,11 @@ class CompiledProgram:
             return False
         return True
 
-    def run(self, machine: Machine) -> Value:
-        return self.entry(machine, (), [None] * self.nslots)
+    def run(self, machine: Machine, args: tuple = ()) -> Value:
+        """Run with ``args`` seeding the parameter slots."""
+        L = [None] * self.nslots
+        L[:len(args)] = args
+        return self.entry(machine, (), L)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +267,11 @@ class _Compiler:
 
     # -- entry points ------------------------------------------------------
 
-    def compile_program(self, term: T.Term) -> tuple[Node, int]:
+    def compile_program(self, term: T.Term,
+                        params: tuple[str, ...] = ()) -> tuple[Node, int]:
         scope = _Scope(None)
+        for name in params:
+            scope.bind(name)
         entry = self.compile(term, scope)
         return entry, scope.nslots
 
@@ -1416,17 +1425,20 @@ _SPECIALIZABLE: dict[str, tuple[int, Callable]] = {
 
 def compile_term(term: T.Term, env: Env,
                  annotations: "dict | None" = None,
-                 fn_memo: "dict | None" = None) -> CompiledProgram:
+                 fn_memo: "dict | None" = None,
+                 params: tuple[str, ...] = ()) -> CompiledProgram:
     """Lower a typechecked term to a :class:`CompiledProgram`.
 
     ``env`` is the runtime environment the program will run against; its
-    free variables are resolved now and pinned in ``deps``.  Raises
-    :class:`CompileFallback` when the term contains an unsupported
-    construct.
+    free variables are resolved now and pinned in ``deps``.  ``params``
+    name the term's parameters, which take slots ``0 .. len(params) - 1``
+    and are read like ``let``-bound locals (one tick each, as the literal
+    they stand for).  Raises :class:`CompileFallback` when the term
+    contains an unsupported construct.
     """
     deps: list = []
     comp = _Compiler(env, annotations, deps, fn_memo)
-    entry, nslots = comp.compile_program(term)
+    entry, nslots = comp.compile_program(term, params)
     return CompiledProgram(term, deps, nslots, entry)
 
 

@@ -1,18 +1,20 @@
-"""The compile engine: program cache, validity tracking, statistics.
+"""The compile engine: program validity, fallbacks, statistics.
 
 A :class:`CompileEngine` sits between the session and the compiler.  It
-caches :class:`~repro.compile.compiler.CompiledProgram` objects by the
-term's *structural fingerprint* (its pretty-printed source, exactly like
-the query planner's plan fingerprints) and re-validates every cached
-program against its recorded global dependencies before each run — a
-program that embedded ``hom`` or an inlined prelude closure is dropped and
-recompiled the moment the session rebinds that name, mirroring the
-materialized-view cache's identity-based invalidation.
+keeps no cache of its own: each program lives with the statement it was
+compiled for — an entry of the session's statement cache
+(:mod:`repro.lang.statements`), or a prepared query — and goes when that
+entry is evicted.  Before every run the engine re-validates the program
+against its recorded global dependencies, so a program that embedded
+``hom`` or an inlined prelude closure is dropped and recompiled the
+moment the session rebinds that name, mirroring the materialized-view
+cache's identity-based invalidation.
 
 Structural fallbacks (the term contains ``relobj``/``let ... class``) are
-cached too, so a program that cannot compile pays the compile attempt only
-once; environment-dependent fallbacks (an unbound name) are re-attempted,
-since a later binding can make the program compilable.
+kept with the statement too, so a program that cannot compile pays the
+compile attempt only once; environment-dependent fallbacks (an unbound
+name) are re-attempted, since a later binding can make the program
+compilable.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 
 from ..eval.machine import Machine
 from ..eval.values import Env, Value
-from ..syntax.pretty import pretty_term
 from .compiler import CompileFallback, CompiledProgram, compile_term
 
 __all__ = ["CompileEngine", "CompileStats", "CompileDecision"]
@@ -33,9 +34,9 @@ class CompileStats:
 
     ``programs_compiled`` counts successful lowerings, ``fallbacks``
     counts programs handed back to the interpreter (with a reason),
-    ``cache_hits`` counts runs served by a still-valid cached program, and
-    ``invalidations`` counts cached programs dropped because a global they
-    embedded was rebound.
+    ``cache_hits`` counts runs served by a statement's still-valid
+    program, and ``invalidations`` counts programs dropped because a name
+    they were compiled against was rebound.
     """
 
     programs_compiled: int = 0
@@ -83,10 +84,15 @@ class _Fallback:
 
 
 class CompileEngine:
-    """Compiles, caches and runs programs for one session."""
+    """Compiles, validates and runs the programs of one session.
+
+    A *statement* is anything with ``term``, ``annotations``, ``params``
+    and a writable ``program`` slot (:class:`repro.lang.statements.
+    Statement`, :class:`repro.lang.api.PreparedQuery`); the engine keeps
+    the statement's program, or its structural fallback, in that slot.
+    """
 
     def __init__(self) -> None:
-        self._cache: dict[str, object] = {}
         #: Compiled-closure memo shared across programs, keyed by
         #: ``id(VClosure)`` (entries self-validate by identity).
         self._fn_memo: dict = {}
@@ -97,67 +103,63 @@ class CompileEngine:
 
     # -- decisions ---------------------------------------------------------
 
-    def decide(self, term, env: Env,
-               annotations: "dict | None" = None) -> CompileDecision:
-        """Resolve ``term`` to a runnable program or a fallback reason.
+    def decide(self, stmt, env: Env) -> CompileDecision:
+        """Resolve ``stmt`` to a runnable program or a fallback reason.
 
-        Counts a cache hit only when a cached *program* is still valid;
-        an invalidated program is recompiled in place.
+        Counts a cache hit only when the statement's program is still
+        valid; an invalidated program is recompiled in place.
         """
-        # The structural fingerprint is pure in the term, so memoize it on
-        # the term object: sessions re-submit the same parsed statement
-        # (the REPL caches parses), and re-rendering on every run would
-        # cost more than the compiled program itself for small programs.
-        fingerprint = getattr(term, "_fingerprint", None)
-        if fingerprint is None:
-            fingerprint = pretty_term(term)
-            try:
-                term._fingerprint = fingerprint
-            except AttributeError:  # pragma: no cover - slotted term
-                pass
-        cached = self._cache.get(fingerprint)
+        cached = stmt.program
         if isinstance(cached, _Fallback):
             decision = CompileDecision(None, cached.reason)
             self.last_decision = decision
             return decision
-        if isinstance(cached, CompiledProgram):
+        if cached is not None:
             if cached.valid():
                 self.stats.cache_hits += 1
                 decision = CompileDecision(cached, None)
                 self.last_decision = decision
                 return decision
             self.stats.invalidations += 1
-            del self._cache[fingerprint]
+            stmt.program = None
         try:
-            program = compile_term(term, env, annotations, self._fn_memo)
+            program = compile_term(stmt.term, env, stmt.annotations,
+                                   self._fn_memo, stmt.params)
         except CompileFallback as fb:
             self.stats.fallbacks += 1
             if fb.structural:
-                self._cache[fingerprint] = _Fallback(fb.describe())
+                stmt.program = _Fallback(fb.describe())
             decision = CompileDecision(None, fb.describe())
             self.last_decision = decision
             return decision
         self.stats.programs_compiled += 1
-        self._cache[fingerprint] = program
+        stmt.program = program
         decision = CompileDecision(program, None)
         self.last_decision = decision
         return decision
 
+    def forget(self, stmt) -> None:
+        """Drop the program of a statement whose names were rebound."""
+        if isinstance(stmt.program, CompiledProgram):
+            self.stats.invalidations += 1
+        stmt.program = None
+
     # -- execution ---------------------------------------------------------
 
-    def execute(self, machine: Machine, term, env: Env,
-                annotations: "dict | None" = None) -> "Value | None":
-        """Run ``term`` compiled if possible; ``None`` means fall back.
+    def execute(self, machine: Machine, stmt, env: Env,
+                args: tuple = ()) -> "Value | None":
+        """Run ``stmt`` compiled if possible; ``None`` means fall back.
 
-        The caller (the session) runs the interpreter on ``None`` — the
-        machine has not been touched in that case (compilation performs no
+        ``args`` are the values of the statement's parameters.  The caller
+        (the session) runs the interpreter on ``None`` — the machine has
+        not been touched in that case (compilation performs no
         evaluation), so falling back is always safe.
         """
-        decision = self.decide(term, env, annotations)
+        decision = self.decide(stmt, env)
         if decision.program is None:
             return None
         self.stats.compiled_runs += 1
-        return decision.program.run(machine)
+        return decision.program.run(machine, args)
 
     # -- function values ---------------------------------------------------
 

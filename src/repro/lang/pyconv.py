@@ -34,21 +34,16 @@ def record_to_python(rec: VRecord, machine: Machine,
     hit = memo.get(rec.oid)
     if hit is not None:
         return hit
-    tracker = machine.store.tracker
+    store = machine.store
     out: dict[str, Any] = {}
     memo[rec.oid] = out
     for label in rec.labels():
         cell = rec.cells[label]
-        if isinstance(cell, Location):
-            # Conversion is an observation: a server transaction that
-            # returns this value to a client has *read* these cells, so
-            # OCC must validate their versions at commit (and answers
-            # from its own staged write, if it made one).
-            inner = None if tracker is None else tracker.did_read(cell)
-            if inner is None:
-                inner = cell.value
-        else:
-            inner = cell
+        # Conversion is an observation: a server transaction that returns
+        # this value to a client has *read* these cells, so OCC must
+        # validate their versions at commit (and answers from its own
+        # staged write, if it made one).
+        inner = store.read(cell) if isinstance(cell, Location) else cell
         out[label] = value_to_python(inner, machine, memo)
     return out
 

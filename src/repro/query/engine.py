@@ -30,6 +30,7 @@ that has staged writes (:mod:`repro.server.occ`) is never planned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..core import terms as T
 from ..core.terms import free_vars
@@ -39,6 +40,7 @@ from ..eval.store import Location
 from ..eval.values import (VBool, VClass, VClosure, VInt, VObject,
                            VRecord, VSet,
                            VString, Value)
+from ..lang.statements import is_param
 from .cost import CostModel
 from .indexes import IndexManager
 from .ir import (ExtentSource, FilterStage, FuseStage, MapStage, Pipeline,
@@ -146,38 +148,34 @@ class QueryEngine:
 
     # -- entry points --------------------------------------------------------
 
-    def execute(self, term: T.Term, env) -> Value:
-        """Evaluate ``term`` — planned when possible, naive otherwise."""
+    def execute(self, term: T.Term, env, naive: Callable[[], Value]
+                ) -> Value:
+        """Evaluate ``term`` — planned when possible, else ``naive()``.
+
+        ``env`` binds the statement's parameters (if any) over the
+        session's globals; ``naive`` runs the statement unplanned
+        (compiled when the session compiles).
+        """
         staging = self.machine.store.staging
         if not self.enabled or (staging is not None and staging.staged):
-            return self._naive(term, env)
+            return naive()
         plan = self._plan(term)
         if plan.pipe is None:
             self.stats.fallbacks += 1
-            return self._naive(term, env)
+            return naive()
         try:
             result = self._run(term, plan.pipe, env)
         except PlanAbort:
             self.stats.aborts += 1
-            return self._naive(term, env)
+            return naive()
         except EvalError:
             # Planned execution is effect-free, so re-running naively is
             # safe — and yields the error (or result) the program's own
             # semantics dictate.
             self.stats.aborts += 1
-            return self._naive(term, env)
+            return naive()
         self.stats.planned += 1
         return result
-
-    def _naive(self, term: T.Term, env) -> Value:
-        """Unplanned evaluation: compiled when the session compiles."""
-        session = self.session
-        if getattr(session, "compile_mode", "off") != "off":
-            result = session.compile_engine.execute(
-                self.machine, term, env)
-            if result is not None:
-                return result
-        return self.machine.eval(term, env)
 
     def _stage_fn(self, term: T.Term, env) -> Value:
         """Evaluate a stage function, swapping in its compiled form.
@@ -258,6 +256,12 @@ class QueryEngine:
             self.stats.scans += 1
             return self._exec_pipe(pipe, env, resolved)
         globals_now = self._globals_of(term, env)
+        params = sorted(n for n in globals_now if is_param(n))
+        if params:
+            # A statement parameter is a fresh value on every run: key
+            # the view on its value, and pin only real globals.
+            fingerprint += "\n#" + repr(
+                [value_key(globals_now.pop(n)) for n in params])
         entry = self.views.lookup(fingerprint, globals_now)
         if entry is not None:
             self.views.register_reads(entry)

@@ -6,15 +6,21 @@ Machiavelli").  Notable tokens:
 * ``:=`` for mutable record fields, ``=>`` for lambda bodies;
 * ``c-query`` is lexed as a single keyword token (the paper's spelling);
 * ``(* ... *)`` comments nest.
+
+:func:`lift_literals` is a one-pass scan that mirrors :func:`tokenize`
+closely enough to find every int and string literal without building
+tokens; the session's statement cache keys on its output.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..errors import LexError
 
-__all__ = ["Token", "tokenize", "KEYWORDS"]
+__all__ = ["Token", "tokenize", "KEYWORDS", "lift_literals",
+           "INT_SLOT", "STRING_SLOT"]
 
 KEYWORDS = frozenset({
     "fn", "let", "in", "end", "val", "fun", "and", "rec", "fix",
@@ -146,3 +152,71 @@ def tokenize(src: str) -> list[Token]:
             raise LexError(f"unexpected character {ch!r}", line, col)
     tokens.append(Token("eof", "", line, col, line, col))
     return tokens
+
+
+#: The placeholders :func:`lift_literals` puts where a literal was.  Both
+#: are characters :func:`tokenize` rejects outside a string, so a key that
+#: holds a placeholder never equals a source text that lexes.
+INT_SLOT = "#"
+STRING_SLOT = "$"
+
+# One match is a run of non-literal tokens, an int literal or a string
+# literal.  Outside strings the runs admit exactly the characters
+# ``tokenize`` accepts there, minus the ``(*`` that opens a comment;
+# ``c-query`` is tried before identifiers, as ``tokenize`` does for the
+# bare word ``c``.  An identifier swallows its digits (``e12``), so a
+# digit run that starts a match is an int token.
+_LIFT_SCAN = re.compile(r"""
+    (?:c-query|[A-Za-z_][A-Za-z0-9_']*|[-:=<>)\[\]{},.;+*^ \t\r\n]+
+       |\((?!\*))+
+  | ([0-9]+)
+  | "((?:[^"\\]|\\[nt"\\])*)"
+""", re.VERBOSE)
+
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+_ESCAPE = re.compile(r"\\(.)")
+
+
+def lift_literals(src: str) -> "tuple[str, list[tuple[int, int, object]]]":
+    """Replace each int and string literal of ``src`` by a placeholder.
+
+    Returns ``(key, literals)``: ``key`` is ``src`` with every int literal
+    replaced by :data:`INT_SLOT` and every string literal by
+    :data:`STRING_SLOT`, and ``literals`` lists ``(line, column, value)``
+    per literal in source order (1-based, as :class:`Token` counts them;
+    string values unescaped).  Text the scan cannot classify the way
+    :func:`tokenize` would — a comment, non-ASCII text, a bad escape, an
+    unterminated string, any character ``tokenize`` rejects — comes back
+    unchanged, with no literals.
+    """
+    if not src.isascii():
+        return src, []
+    parts: list[str] = []
+    literals: list[tuple[int, int, object]] = []
+    pos = 0
+    for m in _LIFT_SCAN.finditer(src):
+        start = m.start()
+        if start != pos:
+            return src, []
+        pos = m.end()
+        digits, body = m.group(1, 2)
+        if digits is None and body is None:
+            parts.append(m.group())
+            continue
+        line = src.count("\n", 0, start) + 1
+        column = start - src.rfind("\n", 0, start)
+        if digits is not None:
+            try:
+                value: object = int(digits)
+            except ValueError:  # past int's digit limit: the parser's error
+                return src, []
+            parts.append(INT_SLOT)
+            literals.append((line, column, value))
+        else:
+            if "\\" in body:
+                body = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], body)
+            parts.append(STRING_SLOT)
+            literals.append((line, column, body))
+    if pos != len(src):
+        return src, []
+    return "".join(parts), literals

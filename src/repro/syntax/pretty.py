@@ -202,7 +202,10 @@ class _Tp:
 # Values
 # ---------------------------------------------------------------------------
 
-def pretty_value(v: "Value") -> str:
+def pretty_value(v: "Value", store=None) -> str:
+    """Render a value.  Mutable fields are read through ``store``
+    (:meth:`repro.eval.store.Store.read`, so a server transaction sees
+    its own staged writes) when one is given, else from the heap."""
     from ..eval.store import Location
     from ..eval.values import (VBool, VBuiltin, VClass, VClosure,
                                VCompiledFn, VInt, VLval, VObject, VRecord,
@@ -220,11 +223,12 @@ def pretty_value(v: "Value") -> str:
         for label in v.labels():
             op = ":=" if label in v.mutable_labels else "="
             cell = v.cells[label]
-            inner = cell.value if isinstance(cell, Location) else cell
-            parts.append(f"{label} {op} {pretty_value(inner)}")
+            if isinstance(cell, Location):
+                cell = cell.value if store is None else store.read(cell)
+            parts.append(f"{label} {op} {pretty_value(cell, store)}")
         return "[" + ", ".join(parts) + "]"
     if isinstance(v, VSet):
-        return "{" + ", ".join(pretty_value(e) for e in v.elems) + "}"
+        return "{" + ", ".join(pretty_value(e, store) for e in v.elems) + "}"
     if isinstance(v, VClosure):
         return f"<fn {v.param}>"
     if isinstance(v, VCompiledFn):
