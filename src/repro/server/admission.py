@@ -117,6 +117,10 @@ class CircuitBreaker:
 
     def write_allowed(self) -> bool:
         """Whether a write transaction should even start (open = no)."""
+        if self._opened_at is None:
+            # Closed: one attribute read, no lock.  A breaker that opens
+            # right after this check is the same race the locked read has.
+            return True
         return self.state != "open"
 
     def retry_after(self) -> float:
