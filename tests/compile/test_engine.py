@@ -92,6 +92,17 @@ def test_explain_plan_reports_compiled():
     assert "execution: compiled" in report
 
 
+def test_explain_plan_compiles_a_statement_shape_once():
+    s = Session()
+    before = s.compile_stats["programs_compiled"]
+    for src in ("1 + 2", "1 + 2", "3 + 4"):
+        assert "execution: compiled" in s.explain_plan(src)
+    assert s.eval_py("5 + 6") == 11  # the explain warmed the program
+    stats = s.compile_stats
+    assert stats["programs_compiled"] == before + 1
+    assert stats["cache_hits"] == 3
+
+
 def test_explain_plan_reports_fallback_reason():
     s = Session()
     report = s.explain_plan(
