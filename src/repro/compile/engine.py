@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..eval.machine import Machine
 from ..eval.values import Env, Value
 from .compiler import CompileFallback, CompiledProgram, compile_term
 
@@ -34,9 +33,11 @@ class CompileStats:
 
     ``programs_compiled`` counts successful lowerings, ``fallbacks``
     counts programs handed back to the interpreter (with a reason),
-    ``cache_hits`` counts runs served by a statement's still-valid
-    program, and ``invalidations`` counts programs dropped because a name
-    they were compiled against was rebound.
+    ``cache_hits`` counts runs that found a statement's still-valid
+    program (a run the query planner then serves counts too: the session
+    decides every statement's program first), ``invalidations`` counts
+    programs dropped because a name they were compiled against was
+    rebound, and ``compiled_runs`` counts runs of a compiled program.
     """
 
     programs_compiled: int = 0
@@ -84,7 +85,7 @@ class _Fallback:
 
 
 class CompileEngine:
-    """Compiles, validates and runs the programs of one session.
+    """Compiles and validates the programs of one session.
 
     A *statement* is anything with ``term``, ``annotations``, ``params``
     and a writable ``program`` slot (:class:`repro.lang.statements.
@@ -97,7 +98,7 @@ class CompileEngine:
         #: ``id(VClosure)`` (entries self-validate by identity).
         self._fn_memo: dict = {}
         self.stats = CompileStats()
-        #: The decision for the most recent ``decide``/``execute`` call;
+        #: The decision for the most recent ``decide`` call;
         #: ``Session.explain_plan`` reads it.
         self.last_decision: "CompileDecision | None" = None
 
@@ -143,23 +144,6 @@ class CompileEngine:
         if isinstance(stmt.program, CompiledProgram):
             self.stats.invalidations += 1
         stmt.program = None
-
-    # -- execution ---------------------------------------------------------
-
-    def execute(self, machine: Machine, stmt, env: Env,
-                args: tuple = ()) -> "Value | None":
-        """Run ``stmt`` compiled if possible; ``None`` means fall back.
-
-        ``args`` are the values of the statement's parameters.  The caller
-        (the session) runs the interpreter on ``None`` — the machine has
-        not been touched in that case (compilation performs no
-        evaluation), so falling back is always safe.
-        """
-        decision = self.decide(stmt, env)
-        if decision.program is None:
-            return None
-        self.stats.compiled_runs += 1
-        return decision.program.run(machine, args)
 
     # -- function values ---------------------------------------------------
 

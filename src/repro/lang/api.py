@@ -43,7 +43,7 @@ from ..syntax.lexer import lift_literals
 from ..syntax.pretty import pretty_scheme, pretty_value
 from .prelude import PRELUDE_SOURCE
 from .pyconv import value_to_python
-from .statements import Statement, StatementCache, arguments
+from .statements import DECLINED, Statement, StatementCache, arguments
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..runtime.budget import Budget
@@ -63,10 +63,12 @@ class Session:
         Load the derived operations (``map``, ``filter``, ...) on start.
     optimize:
         Route expressions through the :mod:`repro.query` planner
-        (secondary indexes, materialized views).  Off by default; the
-        planner only ever accelerates pure, recognized query shapes and
-        falls back to naive evaluation for everything else, so results
-        are identical either way.
+        (secondary indexes, materialized views).  Off by default — the
+        server turns it on (:class:`repro.server.Server`) — because a
+        view hit skips the extent computations that Fig 5's accounting
+        counts; the planner only ever accelerates pure, recognized query
+        shapes and leaves everything else to the compiled or interpreted
+        run, so results are identical either way.
     compile:
         ``"auto"`` (default) lowers type-checked expressions to Python
         closures (:mod:`repro.compile`) before running them, keeping each
@@ -111,7 +113,7 @@ class Session:
     def _ensure_planner(self):
         if self.planner is None:
             from ..query import QueryEngine
-            self.planner = QueryEngine(self, enabled=self.optimize)
+            self.planner = QueryEngine(self)
         return self.planner
 
     @property
@@ -135,21 +137,26 @@ class Session:
             self._compile_engine.forget(stmt)
 
     def _run(self, stmt, args: tuple = ()) -> Value:
-        """Run a statement on its parameter values ``args``: through the
-        query planner when optimization is on, else on the machine."""
-        if self.optimize:
-            return self._ensure_planner().execute(
-                stmt.term, self._env_for(stmt, args),
-                lambda: self._eval_machine(stmt, args))
-        return self._eval_machine(stmt, args)
+        """Run a statement on its parameter values ``args``.
 
-    def _eval_machine(self, stmt, args: tuple) -> Value:
-        """Evaluate on the machine, compiled when the engine can lower it."""
+        The compile engine decides the statement's program first, once
+        per run, whoever then serves it.  With optimization on, the query
+        planner serves the statement unless its shape is
+        :data:`~repro.lang.statements.DECLINED`; when the planner gives
+        it back, the program runs compiled, or on the machine.
+        """
+        program = None
         if self.compile_mode != "off":
-            result = self.compile_engine.execute(
-                self.machine, stmt, self.runtime_env, args)
-            if result is not None:
-                return result
+            program = self.compile_engine.decide(
+                stmt, self.runtime_env).program
+        if self.optimize and stmt.plan is not DECLINED:
+            value = self._ensure_planner().execute(
+                stmt, self._env_for(stmt, args), args)
+            if value is not None:
+                return value
+        if program is not None:
+            self._compile_engine.stats.compiled_runs += 1
+            return program.run(self.machine, args)
         return self.machine.eval(stmt.term, self._env_for(stmt, args))
 
     def _env_for(self, stmt, args: tuple) -> Env:
@@ -184,8 +191,8 @@ class Session:
     def explain_plan(self, src: str) -> str:
         """Render the query plan the optimizer would use for ``src``.
 
-        Works whether or not the session was created with
-        ``optimize=True`` (planning is read-only); the expression is
+        Works whether or not the session plans its statements
+        (``optimize``; planning is read-only); the expression is
         type-checked but not executed.  The final ``execution:`` line
         reports how the machine runs the expression whenever the planner
         does not take it — ``compiled``, or ``interpreted`` with the
@@ -558,10 +565,11 @@ class Session:
 
 class PreparedQuery:
     """A parsed, type-checked query bound to a session (see
-    :meth:`Session.prepare`).  It keeps its compiled program, as a
-    statement-cache entry does."""
+    :meth:`Session.prepare`).  It keeps its compiled program and its query
+    plan, as a statement-cache entry does."""
 
-    __slots__ = ("session", "term", "scheme", "annotations", "program")
+    __slots__ = ("session", "term", "scheme", "annotations", "program",
+                 "plan")
 
     #: A prepared query has no parameters.
     params = ()
@@ -573,6 +581,7 @@ class PreparedQuery:
         self.scheme = scheme
         self.annotations = annotations
         self.program = None
+        self.plan = None
 
     def __call__(self) -> Value:
         return self.session._run(self)

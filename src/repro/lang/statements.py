@@ -11,9 +11,10 @@ literals lifted into parameter slots
 (:func:`repro.syntax.lexer.lift_literals`).  An entry (:class:`Statement`)
 holds the *template* — the parsed term with each lifted literal's ``Const``
 turned into a read of a parameter ``#0``, ``#1``, … — with its scheme, the
-record annotations inference left for the compiler, and the compiled
-program the compile engine keeps with it.  A hit runs the template on the
-new literal values: no parse, no inference, no compile.
+record annotations inference left for the compiler, the compiled
+program the compile engine keeps with it, and the query plan the planner
+keeps with it.  A hit runs the template on the new literal values: no
+parse, no inference, no compile, no planning.
 
 * **Validity.**  An entry pins the scheme object of every global name it
   reads as it was made; a hit needs each to be the same object, so
@@ -21,7 +22,10 @@ new literal values: no parse, no inference, no compile.
   rebinds) re-parses exactly the statements that use it.  A statement is
   cached only if, after its inference, its own scheme and every pinned
   name's are closed (no free type variables): inference may bind an open
-  scheme's variables, an effect a hit would skip.
+  scheme's variables, an effect a hit would skip.  The same pins keep the
+  plan valid: what the planner decides once per shape (recognition, the
+  purity check, the rewrites) depends only on the term and the purity
+  marks of the names it reads, and a mark changes only with a rebinding.
 * **Exact keys.**  A literal that is not exactly one ``Const`` — an int
   label (``x.1``, ``[1 = e]``), a negative literal (``-5`` parses to one
   ``Const(-5)``) — keys its entry on the exact text, as does text the scan
@@ -42,8 +46,8 @@ from ..core.infer import TypeEnv
 from ..core.types import TypeScheme, free_type_vars
 from ..eval.values import VInt, VString, Value
 
-__all__ = ["CAPACITY", "Statement", "StatementCache", "arguments",
-           "is_param"]
+__all__ = ["CAPACITY", "DECLINED", "Statement", "StatementCache",
+           "arguments", "is_param"]
 
 #: Entries per session.  The end-to-end workloads use at most 129 shapes
 #: (64 objects × a read and a write shape, plus a scan).
@@ -52,6 +56,10 @@ CAPACITY = 256
 #: Parameter names start with a character no identifier can, so a
 #: template's parameter reads never collide with a program's own names.
 _PARAM = "#"
+
+#: The ``plan`` of a statement shape the query planner does not take: the
+#: session runs it without asking the planner again.
+DECLINED = False
 
 
 def is_param(name: str) -> bool:
@@ -66,11 +74,13 @@ class Statement:
     ``pins`` lists ``(name, scheme)`` for each global name it reads;
     ``expression`` is True when the source parsed as an expression (it
     then serves ``eval`` as well as ``exec``).  ``program`` belongs to the
-    compile engine: the compiled program, a structural fallback, or None.
+    compile engine: the compiled program, a structural fallback, or None;
+    ``plan`` to the query planner: its plan for the shape, :data:`DECLINED`,
+    or None before the planner first sees it.
     """
 
     __slots__ = ("term", "annotations", "scheme", "params", "pins",
-                 "expression", "program")
+                 "expression", "program", "plan")
 
     def __init__(self, term: T.Term, annotations: "dict | None" = None,
                  scheme: "TypeScheme | None" = None,
@@ -84,6 +94,7 @@ class Statement:
         self.pins = pins
         self.expression = expression
         self.program = None
+        self.plan = None
 
 
 class StatementCache:

@@ -1,9 +1,10 @@
 """`QueryEngine` — plan, choose an access path, execute, explain.
 
 The engine sits between :class:`~repro.lang.api.Session` and the machine.
-``execute`` runs every expression the session hands it; anything that is
-not a recognized, pure, unshadowed query shape falls straight through to
-the naive evaluator, so the engine can never change what a program means:
+``execute`` serves the statements the session hands it; it gives back
+anything that is not a recognized, pure, unshadowed query shape, and the
+session runs that unplanned, so the engine can never change what a
+program means:
 
 * **recognition** (:mod:`repro.query.ir`) lifts the term into a pipeline
   and fails on anything it cannot prove is the algebra's shape;
@@ -14,8 +15,15 @@ the naive evaluator, so the engine can never change what a program means:
   (``hom``, ``union``, ``map``, ``filter``, ``eq``) must still be bound
   to the session's pristine builtin/prelude values;
 * **abort** — any surprise during planned execution (an unexpected value
-  shape, an evaluation error) falls back to the naive evaluator, which is
-  safe precisely because planned execution is effect-free.
+  shape, an evaluation error) hands the statement back to the unplanned
+  run, which is safe precisely because planned execution is effect-free.
+
+A statement is planned once per shape: recognition, the purity check and
+the rewrites run on its first run, and the plan — or :data:`~repro.lang.
+statements.DECLINED` — is kept in the statement (its statement-cache
+entry, or a prepared query), with the shape's fingerprint text and the
+values of the global names the term reads.  A later run checks only
+identities: those globals, the structural names, and a view's globals.
 
 Physical choices (cost model): a cached materialized view when a valid
 one exists, else a hash-index bucket lookup when the leading stage is an
@@ -30,7 +38,6 @@ that has staged writes (:mod:`repro.server.occ`) is never planned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from ..core import terms as T
 from ..core.terms import free_vars
@@ -40,7 +47,7 @@ from ..eval.store import Location
 from ..eval.values import (VBool, VClass, VClosure, VInt, VObject,
                            VRecord, VSet,
                            VString, Value)
-from ..lang.statements import is_param
+from ..lang.statements import DECLINED, is_param
 from .cost import CostModel
 from .indexes import IndexManager
 from .ir import (ExtentSource, FilterStage, FuseStage, MapStage, Pipeline,
@@ -60,7 +67,9 @@ class PlanAbort(Exception):
 @dataclass
 class QueryStats:
     """Counters for the planner's decisions (see also the managers'
-    build/delta counters)."""
+    build/delta counters).  ``fallbacks`` counts statement shapes the
+    planner declined (once per shape: the session does not ask again) and
+    runs declined because a structural name was rebound."""
 
     planned: int = 0
     fallbacks: int = 0
@@ -101,13 +110,20 @@ class PlanReport:
 
 
 class _Plan:
-    __slots__ = ("pipe", "rewrites", "reason")
+    """A statement shape's plan: the rewritten pipeline (None when the
+    shape is declined, with the ``reason``), the rewrites that fired, the
+    shape's fingerprint ``text``, and ``globals`` — the values of the
+    global names the term reads, as they were when it was planned."""
+
+    __slots__ = ("pipe", "rewrites", "reason", "text", "globals")
 
     def __init__(self, pipe: Pipeline | None, rewrites: list[str],
                  reason: str | None) -> None:
         self.pipe = pipe
         self.rewrites = rewrites
         self.reason = reason
+        self.text = "" if pipe is None else _shape_text(pipe)
+        self.globals: dict[str, Value] = {}
 
 
 #: Names whose runtime bindings must be the session's pristine values for
@@ -118,15 +134,14 @@ _STRUCTURAL = ("hom", "union", "map", "filter", "eq")
 class QueryEngine:
     """One session's planner: indexes, cached views, and the cost model.
 
-    Installs itself as the store's change observer; with ``enabled=False``
-    it only renders plans (``explain``) and never affects evaluation.
+    Installs itself as the store's change observer.  It serves statements
+    only when the session asks (``Session.optimize``); a session that does
+    not plan still renders plans through it (``explain``).
     """
 
-    def __init__(self, session, enabled: bool = True,
-                 cost: CostModel | None = None) -> None:
+    def __init__(self, session, cost: CostModel | None = None) -> None:
         self.session = session
         self.machine = session.machine
-        self.enabled = enabled
         self.cost = cost if cost is not None else CostModel()
         self.indexes = IndexManager(self.machine)
         self.views = ViewCache(self.machine)
@@ -148,32 +163,40 @@ class QueryEngine:
 
     # -- entry points --------------------------------------------------------
 
-    def execute(self, term: T.Term, env, naive: Callable[[], Value]
-                ) -> Value:
-        """Evaluate ``term`` — planned when possible, else ``naive()``.
+    def execute(self, stmt, env, args: tuple) -> "Value | None":
+        """Serve ``stmt`` planned: its value, or None to give it back.
 
-        ``env`` binds the statement's parameters (if any) over the
-        session's globals; ``naive`` runs the statement unplanned
-        (compiled when the session compiles).
+        ``args`` are the statement's parameter values and ``env`` binds
+        them over the session's globals.  The statement's first run plans
+        its shape and keeps the plan in ``stmt.plan`` (a declined shape
+        is marked :data:`~repro.lang.statements.DECLINED`, and the
+        session stops asking).  None also means that the transaction has
+        staged writes, that a structural name is rebound, or that planned
+        execution aborted; the session then runs the statement unplanned.
         """
         staging = self.machine.store.staging
-        if not self.enabled or (staging is not None and staging.staged):
-            return naive()
-        plan = self._plan(term)
-        if plan.pipe is None:
-            self.stats.fallbacks += 1
-            return naive()
+        if staging is not None and staging.staged:
+            return None
         try:
-            result = self._run(term, plan.pipe, env)
-        except PlanAbort:
+            plan = stmt.plan
+            if plan is None or not _bound_as_planned(plan, env):
+                plan = self._plan(stmt.term)
+                if plan.pipe is None:
+                    stmt.plan = DECLINED
+                    self.stats.fallbacks += 1
+                    return None
+                plan.globals = self._globals_of(stmt.term, env)
+                stmt.plan = plan
+            if not self._names_pristine(plan.pipe.needs):
+                self.stats.fallbacks += 1
+                return None
+            result = self._run(plan, env, args)
+        except (PlanAbort, EvalError):
+            # Planned execution is effect-free, so running the statement
+            # unplanned is safe — and yields the error (or result) the
+            # program's own semantics dictate.
             self.stats.aborts += 1
-            return naive()
-        except EvalError:
-            # Planned execution is effect-free, so re-running naively is
-            # safe — and yields the error (or result) the program's own
-            # semantics dictate.
-            self.stats.aborts += 1
-            return naive()
+            return None
         self.stats.planned += 1
         return result
 
@@ -242,58 +265,58 @@ class QueryEngine:
 
     # -- execution ----------------------------------------------------------
 
-    def _run(self, term: T.Term, pipe: Pipeline, env) -> Value:
-        result = self._eval_top(term, pipe, env)
+    def _run(self, plan: _Plan, env, args: tuple) -> Value:
+        pipe = plan.pipe
+        result = self._eval_top(plan, env, args)
         if pipe.finish is not None:
             fnv = self.machine.eval(pipe.finish, env)
             return self.machine.apply(fnv, result)
         return result
 
-    def _eval_top(self, term: T.Term, pipe: Pipeline, env) -> VSet:
+    def _eval_top(self, plan: _Plan, env, args: tuple) -> VSet:
+        pipe = plan.pipe
         resolved: dict[int, VClass] = {}
-        fingerprint = self._fingerprint(pipe, env, resolved)
+        fingerprint = self._fingerprint(plan.text, pipe, env, resolved)
         if fingerprint is None or not self.cost.use_materialized_views:
             self.stats.scans += 1
             return self._exec_pipe(pipe, env, resolved)
-        globals_now = self._globals_of(term, env)
-        params = sorted(n for n in globals_now if is_param(n))
-        if params:
+        if args:
             # A statement parameter is a fresh value on every run: key
-            # the view on its value, and pin only real globals.
-            fingerprint += "\n#" + repr(
-                [value_key(globals_now.pop(n)) for n in params])
-        entry = self.views.lookup(fingerprint, globals_now)
+            # the view on its value.
+            fingerprint += "\n#" + repr([value_key(a) for a in args])
+        entry = self.views.lookup(fingerprint, plan.globals)
         if entry is not None:
             self.views.register_reads(entry)
             self.stats.mv_hits += 1
-            return self.machine.make_set(entry.elements())
+            return self.views.result_of(entry)
         count = self.views.note_seen(fingerprint)
         if self.cost.should_materialize(count):
             return self._materialize(pipe, env, resolved, fingerprint,
-                                     globals_now)
+                                     plan.globals)
         self.stats.scans += 1
         return self._exec_pipe(pipe, env, resolved)
 
     def _globals_of(self, term: T.Term, env) -> dict[str, Value]:
+        """The values of the global names ``term`` reads (its free names
+        less the statement's parameters)."""
         out: dict[str, Value] = {}
         for name in free_vars(term):
+            if is_param(name):
+                continue
             try:
                 out[name] = env.lookup(name)
             except EvalError:
                 raise PlanAbort(f"unbound name {name!r}") from None
         return out
 
-    def _fingerprint(self, pipe: Pipeline, env,
+    def _fingerprint(self, text: str, pipe: Pipeline, env,
                      resolved: dict[int, VClass]) -> str | None:
-        """A cache key for the plan, or None when the plan reads sets the
-        cache cannot validate (opaque term sources)."""
+        """A cache key for the plan of shape ``text``, or None when the
+        plan reads sets the cache cannot validate (opaque term sources)."""
         classes: list[int] = []
         if not self._collect_classes(pipe, env, resolved, classes):
             return None
-        finish = ("" if pipe.finish is None
-                  else "\nfinish-present")  # finish runs per serve
-        return (pipe.render() + finish + "\n@"
-                + ",".join(str(oid) for oid in classes))
+        return text + "\n@" + ",".join(str(oid) for oid in classes)
 
     def _collect_classes(self, pipe: Pipeline, env,
                          resolved: dict[int, VClass],
@@ -341,13 +364,13 @@ class QueryEngine:
             result = machine.make_set([v for _k, outs in pairs
                                        for v in outs])
             entry = MatView(fingerprint, deps, globals_now, store._stamp,
-                            source_cls=delta_cls, stage_plan=stage_plan,
-                            pairs=pairs)
+                            result, source_cls=delta_cls,
+                            stage_plan=stage_plan, pairs=pairs)
         else:
             with recording_reads(store) as deps:
                 result = self._exec_pipe(pipe, env, resolved)
             entry = MatView(fingerprint, deps, globals_now, store._stamp,
-                            results=list(result.elems))
+                            result, results=result.elems)
         self.views.put(entry)
         self.stats.mv_builds += 1
         return result
@@ -375,27 +398,26 @@ class QueryEngine:
             if hit is not None:
                 elems, replacement = hit
                 stages = ([replacement] if replacement else []) + stages[1:]
-        if elems is None:
-            elems = self._source_elems(pipe.source, env, resolved)
-        elems = machine.make_set(elems).elems
+        result = (self._source_set(pipe.source, env, resolved)
+                  if elems is None else machine.make_set(elems))
         for stage in stages:
-            elems = self._apply_stage(stage, elems, env)
-        return machine.make_set(elems)
+            result = self._apply_stage(stage, result.elems, env)
+        return result
 
-    def _source_elems(self, source, env,
-                      resolved: dict[int, VClass]) -> list[Value]:
+    def _source_set(self, source, env,
+                    resolved: dict[int, VClass]) -> VSet:
         machine = self.machine
         if isinstance(source, ExtentSource):
             cls = self._resolve_cls(source, env, resolved)
-            return list(machine.class_extent(cls).elems)
+            return machine.class_extent(cls)
         if isinstance(source, TermSource):
             v = machine.eval(source.term, env)
             if not isinstance(v, VSet):
                 raise PlanAbort("source term did not evaluate to a set")
-            return list(v.elems)
+            return v
         assert isinstance(source, ProductSource)
         sets = [self._exec_pipe(p, env, resolved) for p in source.parts]
-        return self._product_rows(sets)
+        return machine.make_set(self._product_rows(sets))
 
     def _product_rows(self, sets: list[VSet]) -> list[Value]:
         """Row-major tuple records — mirrors ``Machine._eval_prod``."""
@@ -456,7 +478,7 @@ class QueryEngine:
             replacement = stage  # residual: full predicate over candidates
         return candidates, replacement
 
-    def _apply_stage(self, stage, elems: list[Value], env) -> list[Value]:
+    def _apply_stage(self, stage, elems: list[Value], env) -> VSet:
         """One pipeline stage, element order and dedup exactly as the
         naive right-to-left ``hom`` fold produces them."""
         machine = self.machine
@@ -510,7 +532,7 @@ class QueryEngine:
         else:  # pragma: no cover - recognizer/rewriter invariant
             raise PlanAbort(f"unknown stage {type(stage).__name__}")
         out_rev.reverse()
-        return machine.make_set(out_rev).elems
+        return machine.make_set(out_rev)
 
     def _verdict(self, predv: Value, e: Value) -> bool:
         verdict = self.machine.apply(predv, e)
@@ -533,7 +555,8 @@ class QueryEngine:
     def _describe_access(self, pipe: Pipeline, env) -> list[str]:
         resolved: dict[int, VClass] = {}
         lines: list[str] = []
-        fingerprint = self._fingerprint(pipe, env, resolved)
+        fingerprint = self._fingerprint(_shape_text(pipe), pipe, env,
+                                        resolved)
         if fingerprint is not None and self.cost.use_materialized_views:
             entry = self.entries_peek(fingerprint)
             if entry is not None:
@@ -594,6 +617,28 @@ class QueryEngine:
                 self._describe_pipe_access(part, env, resolved, lines)
         else:
             lines.append("evaluate opaque set source")
+
+
+def _shape_text(pipe: Pipeline) -> str:
+    """The fingerprint text of a plan's shape: the rendered pipeline,
+    and whether a finish runs (it runs on every serve)."""
+    return pipe.render() + ("" if pipe.finish is None
+                            else "\nfinish-present")
+
+
+def _bound_as_planned(plan: _Plan, env) -> bool:
+    """Whether every global name the plan's term reads is bound in
+    ``env`` to the value it had when the shape was planned.  A
+    statement-cache entry's always are (its pins drop it on a rebinding);
+    a prepared query is re-planned when one is not."""
+    lookup = env.lookup
+    for name, value in plan.globals.items():
+        try:
+            if lookup(name) is not value:
+                return False
+        except EvalError:
+            return False
+    return True
 
 
 class _ViewOnly(Stage):

@@ -32,6 +32,18 @@ depends on — a mutable-field write a predicate read, an insert into an
 included source class — cannot be localized and drops the entry, falling
 back to recomputation (which re-caches).
 
+A hit returns the very set the view last built: a set's membership is
+fixed at construction, so the set is rebuilt only after a delta lands.
+
+The cache is bounded: at most :data:`CAPACITY` views, least recently
+used out first, and as many request counts.  A view that is dropped
+before it served a hit was built for nothing, as when every request of a
+query over an include class follows an insert into a source class (such
+views are not delta-maintained, so each insert drops them).  Its
+fingerprint is then materialized again only once two requests in a row
+find what that view read unchanged between them; until then it is
+scanned.
+
 One semantic note: a cache hit serves the *same* result values as the
 previous execution — database-view memoization.  For queries whose
 result elements come from the source extent (every delta-maintained
@@ -45,14 +57,23 @@ same equivalence that relates any two naive runs to each other.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from ..errors import EvalError
 from ..eval.equality import value_key
 from ..eval.store import Location
-from ..eval.values import VBool, VClass, VObject, Value
+from ..eval.values import VBool, VClass, VObject, VSet, Value
 from .ir import FilterStage, MapStage, SelectStage, Stage, ViewStage
 from .tracking import DepTracker, recording_reads
 
-__all__ = ["MatView", "ViewCache", "build_stage_plan", "run_element"]
+__all__ = ["CAPACITY", "MatView", "ViewCache", "build_stage_plan",
+           "run_element"]
+
+#: Views per session, and request counts kept.  Each distinct parameter
+#: value of a planned scan is a fingerprint of its own, so without a bound
+#: any client could grow the cache, and every write, which visits each
+#: view, without limit.
+CAPACITY = 64
 
 
 def build_stage_plan(machine, stages: list[Stage], env) -> list | None:
@@ -117,11 +138,11 @@ class MatView:
 
     __slots__ = ("fingerprint", "source_cls", "stage_plan", "pairs",
                  "results", "deps", "globals_snapshot", "pending",
-                 "watermark")
+                 "watermark", "result", "served")
 
     def __init__(self, fingerprint: str, deps: DepTracker,
                  globals_snapshot: dict[str, Value], watermark: int,
-                 source_cls: VClass | None = None,
+                 result: VSet, source_cls: VClass | None = None,
                  stage_plan: list | None = None,
                  pairs: list[tuple[tuple, list[Value]]] | None = None,
                  results: list[Value] | None = None) -> None:
@@ -129,6 +150,10 @@ class MatView:
         self.deps = deps
         self.globals_snapshot = globals_snapshot
         self.watermark = watermark
+        #: The set a hit returns; None after a delta, until the next hit.
+        self.result: VSet | None = result
+        #: Whether the view has served a hit.
+        self.served = False
         #: Set for delta-capable entries (single include-free extent,
         #: element-wise stages); None otherwise.
         self.source_cls = source_cls
@@ -146,28 +171,44 @@ class MatView:
 
 
 class ViewCache:
-    """All cached views of one session's store."""
+    """All cached views of one session's store: LRUs of at most
+    :data:`CAPACITY` views and request counts."""
 
-    __slots__ = ("machine", "seen", "entries", "hits", "builds", "deltas",
-                 "invalidations")
+    __slots__ = ("machine", "seen", "entries", "wasted", "hits", "builds",
+                 "deltas", "invalidations")
 
     def __init__(self, machine) -> None:
         self.machine = machine
         #: fingerprint -> times requested (drives the materialize gate)
-        self.seen: dict[str, int] = {}
-        self.entries: dict[str, MatView] = {}
+        self.seen: OrderedDict[str, int] = OrderedDict()
+        self.entries: OrderedDict[str, MatView] = OrderedDict()
+        #: fingerprint -> what its last view read, when that view was
+        #: dropped before it served a hit (versions as of the last request)
+        self.wasted: OrderedDict[str, DepTracker] = OrderedDict()
         self.hits = 0
         self.builds = 0
         self.deltas = 0
         self.invalidations = 0
 
     def note_seen(self, fingerprint: str) -> int:
-        count = self.seen.get(fingerprint, 0) + 1
-        self.seen[fingerprint] = count
+        """Count a request for ``fingerprint``; returns its count.
+
+        The count of a fingerprint whose last view was built for nothing
+        restarts at 1 on every request that finds something that view
+        read changed since the previous request.
+        """
+        seen = self.seen
+        count = seen.pop(fingerprint, 0) + 1
+        watch = self.wasted.get(fingerprint)
+        if watch is not None and (count == 1 or not watch.unchanged()):
+            watch.restamp()
+            count = 1
+        _put_bounded(seen, fingerprint, count)
         return count
 
     def put(self, entry: MatView) -> None:
-        self.entries[entry.fingerprint] = entry
+        self.wasted.pop(entry.fingerprint, None)
+        _put_bounded(self.entries, entry.fingerprint, entry)
         self.builds += 1
 
     def lookup(self, fingerprint: str,
@@ -176,16 +217,27 @@ class ViewCache:
         entry = self.entries.get(fingerprint)
         if entry is None:
             return None
-        for name, val in entry.globals_snapshot.items():
-            if globals_now.get(name) is not val:
-                self._drop(fingerprint)
-                return None
+        snapshot = entry.globals_snapshot
+        if snapshot is not globals_now:
+            for name, val in snapshot.items():
+                if globals_now.get(name) is not val:
+                    self._drop(fingerprint)
+                    return None
         if not self._refresh(entry):
             self._drop(fingerprint)
             return None
         entry.watermark = self.machine.store._stamp
+        entry.served = True
+        self.entries.move_to_end(fingerprint)
         self.hits += 1
         return entry
+
+    def result_of(self, entry: MatView) -> VSet:
+        """The set ``entry`` serves: the one it built, until a delta."""
+        result = entry.result
+        if result is None:
+            result = entry.result = self.machine.make_set(entry.elements())
+        return result
 
     def register_reads(self, entry: MatView) -> None:
         """Serving from cache must register the same reads the
@@ -222,8 +274,14 @@ class ViewCache:
     # -- internals ----------------------------------------------------------
 
     def _drop(self, fingerprint: str) -> None:
-        if self.entries.pop(fingerprint, None) is not None:
-            self.invalidations += 1
+        entry = self.entries.pop(fingerprint, None)
+        if entry is None:
+            return
+        self.invalidations += 1
+        if not entry.served:
+            # Built for nothing: count its requests afresh.
+            self.seen.pop(fingerprint, None)
+            _put_bounded(self.wasted, fingerprint, entry.deps)
 
     def _refresh(self, entry: MatView) -> bool:
         store = self.machine.store
@@ -245,12 +303,16 @@ class ViewCache:
                     entry.deps.locations.setdefault(lid, pair)
                 entry.pairs.append((value_key(elem), outs))
             entry.deps.extents[cls.oid] = (cls, new_version)
+            entry.result = None
             self.deltas += 1
         entry.pending.clear()
-        for cls, version in entry.deps.extents.values():
-            if cls.version != version:
-                return False
-        for loc, version in entry.deps.locations.values():
-            if loc.version != version:
-                return False
-        return True
+        return entry.deps.unchanged()
+
+
+def _put_bounded(lru: OrderedDict, key: str, value) -> None:
+    """``lru[key] = value`` as its newest item, evicting the oldest beyond
+    :data:`CAPACITY`."""
+    lru[key] = value
+    lru.move_to_end(key)
+    if len(lru) > CAPACITY:
+        lru.popitem(last=False)

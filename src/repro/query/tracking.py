@@ -43,6 +43,24 @@ class DepTracker:
         if cls.oid not in self.extents:
             self.extents[cls.oid] = (cls, cls.version)
 
+    def unchanged(self) -> bool:
+        """Whether everything recorded still carries its recorded
+        version."""
+        for cls, version in self.extents.values():
+            if cls.version != version:
+                return False
+        for loc, version in self.locations.values():
+            if loc.version != version:
+                return False
+        return True
+
+    def restamp(self) -> None:
+        """Record the current version of everything recorded."""
+        self.extents = {oid: (cls, cls.version)
+                        for oid, (cls, _v) in self.extents.items()}
+        self.locations = {lid: (loc, loc.version)
+                          for lid, (loc, _v) in self.locations.items()}
+
     def will_write(self, loc: Location) -> None:
         # A build is purity-gated; a write here means the gate was wrong.
         raise AssertionError("write during a pure query-plan build")

@@ -806,7 +806,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-server",
         description="Serve a repro catalog over the wire protocol, or "
-                    "query a running server's stats.")
+                    "query a running server's stats.  The server always "
+                    "plans set queries (cached views and indexes).")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=7477)
     parser.add_argument("--wal", default=None,
@@ -814,8 +815,6 @@ def main(argv=None) -> int:
     parser.add_argument("--snapshot", default=None)
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--queue-size", type=int, default=64)
-    parser.add_argument("--optimize", action="store_true",
-                        help="enable the query planner")
     parser.add_argument("--max-frame", type=int, default=DEFAULT_MAX_FRAME)
     parser.add_argument("--stats", action="store_true",
                         help="one-shot: print a running server's stats as "
@@ -832,8 +831,7 @@ def main(argv=None) -> int:
         return 0
 
     config = ServerConfig(workers=args.workers, queue_size=args.queue_size)
-    server = Server(wal=args.wal, snapshot=args.snapshot, config=config,
-                    optimize=args.optimize)
+    server = Server(wal=args.wal, snapshot=args.snapshot, config=config)
     if server.recovery is not None:
         print(server.recovery.summary())
     front = ProtocolServer(server, ProtocolConfig(

@@ -288,11 +288,10 @@ class ClientTransaction:
     def query(self, class_name: str, fn_src: str):
         """A set-level query against a class extent.
 
-        On a server with query optimization enabled, an indexed or
-        cached-view read registers the same extent/location reads in
-        this transaction's OCC read set that the scan it replaced would
-        have — so it conflicts with concurrent updates exactly like a
-        naive query."""
+        The server plans it: an indexed or cached-view read registers the
+        same extent/location reads in this transaction's OCC read set
+        that the scan it replaced would have — so it conflicts with
+        concurrent updates exactly like a naive query."""
         return self._statement(
             lambda s: self._server.catalog.query(class_name, fn_src),
             mutating=False)
@@ -366,13 +365,18 @@ class Server:
     config:
         A :class:`ServerConfig`; defaults are test-friendly.
 
+    The server always plans: it serves set queries through the session's
+    query planner (:mod:`repro.query`; cached views and indexes),
+    switched on once recovery has replayed the log, so replay runs
+    unplanned and builds no plan state.
+
     Use as a context manager, or call :meth:`close`.
     """
 
     def __init__(self, catalog: Catalog | None = None, *,
                  wal: str | None = None, snapshot: str | None = None,
                  config: ServerConfig | None = None,
-                 wal_fsync: bool = True, optimize: bool = False):
+                 wal_fsync: bool = True):
         self.config = config if config is not None else ServerConfig()
         self.recovery: RecoveryReport | None = None
         self._owns_catalog = catalog is None
@@ -382,11 +386,7 @@ class Server:
                     wal, snapshot_path=snapshot, fsync=wal_fsync)
             else:
                 catalog = Catalog()
-        if optimize:
-            # The planner consults this flag per evaluation, so enabling
-            # it after recovery replay is safe (and means replay itself
-            # ran naively, building no stale plan state).
-            catalog.session.optimize = True
+        catalog.session.optimize = True
         self.catalog = catalog
         self.session = catalog.session
         self._lock = catalog.lock

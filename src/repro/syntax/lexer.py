@@ -99,8 +99,9 @@ def tokenize(src: str) -> list[Token]:
             buf: list[str] = []
             while i < n and src[i] != '"':
                 if src[i] == "\\":
-                    if i + 1 >= n:
-                        break
+                    if i + 1 >= n:  # a backslash cut off by the end
+                        raise LexError("unterminated string literal",
+                                       start_line, start_col)
                     esc = src[i + 1]
                     mapped = {"n": "\n", "t": "\t", '"': '"',
                               "\\": "\\"}.get(esc)

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro import Session
 from repro.errors import LexError
-from repro.syntax.lexer import tokenize
+from repro.syntax.lexer import lift_literals, tokenize
 
 
 def kinds(src):
@@ -35,6 +36,15 @@ def test_unterminated_string():
     with pytest.raises(LexError) as exc:
         tokenize('"abc')
     assert "unterminated" in str(exc.value)
+
+
+def test_string_cut_off_by_a_trailing_backslash():
+    with pytest.raises(LexError) as exc:
+        tokenize('"abc\\')
+    assert "unterminated string literal" in str(exc.value)
+    assert lift_literals('"abc\\') == ('"abc\\', [])
+    with pytest.raises(LexError):
+        Session().eval_py('"abc\\')
 
 
 def test_identifiers_and_keywords():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro import Session
 from repro.query import bulk_insert
+from repro.query.matview import CAPACITY
 
 from .helpers import SETUP, make_sessions, norm
 
@@ -153,3 +154,79 @@ def test_bulk_insert_replaces_extent_once():
     assert len(out.elems) == 12         # Ada, Cyd + ten bulk rows
     views = s.planner.views
     assert views.builds == 1 and views.deltas >= 1
+
+
+def _emp_session(n: int = 40) -> Session:
+    """``e<k>`` has ``Salary = 2000 + 10k``; class ``Emp`` holds them."""
+    s = Session(optimize=True)
+    s.exec('val seed = IDView([Name = "seed", Salary := 0])\n'
+           "val Emp = class {seed} end")
+    bulk_insert(s, "Emp", [{"Name": f"e{k}", "Salary": 2000 + 10 * k}
+                           for k in range(n)], mutable=("Salary",))
+    return s
+
+
+_SCAN = ("c-query(fn S => size(filter(fn o => query(fn v => v.Salary > {t},"
+         " o), S)), Emp)")
+
+
+def _above(t: int, n: int = 40) -> int:
+    return sum(2000 + 10 * k > t for k in range(n))
+
+
+def test_the_view_cache_is_bounded():
+    # Each parameter value of a planned scan is a fingerprint of its own:
+    # 1,000 thresholds, each run twice (a scan, then a build), leave at
+    # most CAPACITY views and request counts.
+    s = _emp_session()
+    views = s._ensure_planner().views
+    for t in range(2000, 3000):
+        for _ in range(2):
+            assert s.eval_py(_SCAN.format(t=t)) == _above(t)
+    assert views.builds == 1000
+    assert len(views.entries) <= CAPACITY and len(views.seen) <= CAPACITY
+    assert len(views.wasted) <= CAPACITY
+    # The newest view still serves.
+    hits = views.hits
+    assert s.eval_py(_SCAN.format(t=2999)) == _above(2999)
+    assert views.hits == hits + 1
+    # The oldest was evicted: it is scanned and built again, and right.
+    for _ in range(3):
+        assert s.eval_py(_SCAN.format(t=2000)) == _above(2000)
+    assert views.builds == 1001 and views.hits == hits + 2
+
+
+def _staff_session(n: int) -> Session:
+    """``FemaleMember`` includes ``Staff`` (half of whose ``n`` members
+    are female) with a view and a predicate, as in §4.2."""
+    s = Session(optimize=True)
+    s.exec('val seed = IDView([Name = "seed", Sex = "female", Salary := 0])'
+           "\nval Staff = class {seed} end")
+    bulk_insert(s, "Staff", [{"Name": f"p{i}",
+                              "Sex": "female" if i % 2 else "male",
+                              "Salary": i} for i in range(n - 1)],
+                mutable=("Salary",))
+    s.exec("val FemaleMember = class {} includes Staff "
+           'as fn st => [Name = st.Name, Category = "staff"] '
+           'where fn o => query(fn x => x.Sex = "female", o) end')
+    return s
+
+
+def test_an_include_class_view_dropped_unused_is_not_rebuilt():
+    # A view over an include class is dropped by every insert into a
+    # source class.  When each query follows such an insert, a view built
+    # on the second request is dropped before it serves, and the query is
+    # then scanned until two requests in a row see nothing change.
+    s = _staff_session(100)
+    src = "c-query(fn S => size(S), FemaleMember)"
+    views = s._ensure_planner().views
+    for r in range(20):
+        s.exec(f'val n{r} = IDView([Name = "n{r}", Sex = "female", '
+               f"Salary := {r}])")
+        s.exec(f"insert(n{r}, Staff)")
+        assert s.eval_py(src) == 51 + r
+    assert views.builds <= 2 and views.hits == 0
+    # The read-only repeat still builds a view and serves it.
+    for _ in range(20):
+        assert s.eval_py(src) == 70
+    assert views.builds <= 2 and views.hits >= 18

@@ -734,41 +734,62 @@ class _Abort(Exception):
     pass
 
 
-@pytest.mark.parametrize("kind,optimize", [
+#: One-shot reads of joe's committed Salary (``location``) and of Emp's
+#: committed extent (``extent``), with the values they must return: through
+#: shapes the planner serves (a pipeline over Emp's extent), and through
+#: shapes it declines (no class extent; a ``hom`` it does not recognize).
+_READS = {
+    ("location", True): ("c-query(fn S => map(fn o => "
+                         "query(fn v => v.Salary, o), S), Emp)", [100]),
+    ("extent", True): ("c-query(fn S => map(fn o => "
+                       "query(fn v => v.Name, o), S), Emp)", ["Joe"]),
+    ("location", False): ("query(fn x => x.Salary, joe)", 100),
+    ("extent", False): ("c-query(fn S => hom(S, fn o => query(fn v => "
+                        "v.Salary, o), fn a => fn b => a + b, 0), Emp)", 100),
+}
+
+
+@pytest.mark.parametrize("kind,planned", [
     pytest.param("location", False, id="location"),
     pytest.param("extent", False, id="extent"),
     pytest.param("location", True, id="location-planner"),
     pytest.param("extent", True, id="extent-planner")])
-def test_oneshots_do_not_read_an_open_transactions_writes(kind, optimize):
+def test_oneshots_do_not_read_an_open_transactions_writes(kind, planned):
     # The writer stages its writes and then aborts: a one-shot that reads
     # (or copies) the written state meanwhile gets the committed value,
-    # and no later read sees the aborted write, served by the planner or
-    # not.
+    # and no later read sees the aborted write, whether the planner
+    # serves the read or declines its shape.
+    src, committed = _READS[kind, planned]
     cat = _catalog()
     quick = ServerConfig(retry=RetryPolicy(max_attempts=2,
                                            base_delay=0.0001,
                                            max_delay=0.001))
-    with Server(cat, config=quick, optimize=optimize) as server, \
+    with Server(cat, config=quick) as server, \
             ProtocolServer(server) as front:
         with Client(*front.address, retry=RetryPolicy(max_attempts=1)) as c:
             with pytest.raises(_Abort):
                 with c.transaction() as txn:
                     if kind == "location":
                         txn.exec("query(fn x => update(x, Salary, 99), joe)")
-                        assert c.eval_py("query(fn x => x.Salary, joe)") \
-                            == 100
+                        assert c.eval_py(src) == committed
                         c.exec("query(fn a => update(a, Salary, "
                                "query(fn j => j.Salary, joe)), amy)")
                     else:
                         txn.insert("Emp", "amy")
-                        assert c.extent("Emp") == [{"Name": "Joe",
-                                                    "Salary": 100}]
+                        assert c.eval_py(src) == committed
                     raise _Abort()
+            # Twice more: a planned read builds a view, then serves it.
+            assert c.eval_py(src) == committed
+            assert c.eval_py(src) == committed
             copied = 100 if kind == "location" else 200
             assert c.eval_py("query(fn x => x.Salary, amy)") == copied
-            assert c.eval_py("query(fn x => x.Salary, joe)") == 100
-            assert c.extent("Emp") == [{"Name": "Joe", "Salary": 100}]
     assert server.stats.conflicts == 0
+    stats = server.session.planner.stats.snapshot()
+    if planned:
+        assert (stats["planned"], stats["scans"], stats["mv_builds"],
+                stats["mv_hits"]) == (3, 1, 1, 1)
+    else:
+        assert stats["planned"] == 0 and stats["fallbacks"] > 0
 
 
 def test_wire_transaction_never_rereads_an_aborted_write():
